@@ -29,9 +29,10 @@
 //! empty and the whole kernel runs in the boundary pass, i.e. in the
 //! oracle's unoverlapped order.
 
+use crate::copyback_integrator::roundtrip;
 use crate::device_integrator::split_dev;
 use crate::kernels as k;
-use crate::state::{ComputeRegion, Fields, GHOSTS};
+use crate::state::{ComputeRegion, Fields, Staged, GHOSTS};
 use rbamr_amr::patchdata::PatchData;
 use rbamr_amr::{Patch, VariableId};
 use rbamr_device::{DeviceBuffer, Kernel, Stream};
@@ -193,23 +194,6 @@ fn batched_launch(
     });
 }
 
-/// Per-phase full-array PCIe round trips for the copy-back placement:
-/// the same variable lists as [`crate::CopyBackPatchIntegrator`], one
-/// round trip per patch per phase, batched per level.
-fn roundtrip(patches: &mut [Patch], vars: &[VariableId]) {
-    for p in patches.iter_mut() {
-        for &var in vars {
-            let d = p
-                .data_mut(var)
-                .as_any_mut()
-                .downcast_mut::<DeviceData<f64>>()
-                .expect("batched executor on non-device data");
-            let host = d.download_all(Category::HydroKernel);
-            d.upload_all(&host, Category::HydroKernel);
-        }
-    }
-}
-
 /// EOS + viscosity — the compute half of the `fill-start` overlap
 /// window. Kernel ordinals 1–3.
 pub(crate) fn eos_viscosity(
@@ -222,8 +206,8 @@ pub(crate) fn eos_viscosity(
     dx: (f64, f64),
 ) {
     if copy_back && pass != Pass::Boundary {
-        roundtrip(patches, &[f.pressure, f.soundspeed, f.density0, f.energy0]);
-        roundtrip(patches, &[f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0]);
+        roundtrip(patches.iter_mut(), f, Staged::IdealGas { predict: false });
+        roundtrip(patches.iter_mut(), f, Staged::Viscosity);
     }
     let ghost = |p: &Patch| ComputeRegion::GhostBox.cell_box(p.cell_box());
     let regs = regions_for(patches, pass, 1, Centring::Cell, ghost);
@@ -279,7 +263,7 @@ pub(crate) fn calc_dt(
     cfl: f64,
 ) -> Vec<f64> {
     if copy_back {
-        roundtrip(patches, &[f.density0, f.pressure, f.viscosity, f.soundspeed, f.xvel0, f.yvel0]);
+        roundtrip(patches.iter_mut(), f, Staged::CalcDt);
     }
     if patches.is_empty() {
         return Vec::new();
@@ -331,7 +315,7 @@ pub(crate) fn lagrangian_pre(
     pdv(patches, f, stream, copy_back, dx, dt, true);
     // Predictor EOS on the half-stepped density/energy.
     if copy_back {
-        roundtrip(patches, &[f.pressure, f.soundspeed, f.density1, f.energy1]);
+        roundtrip(patches.iter_mut(), f, Staged::IdealGas { predict: true });
     }
     let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
     let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, grown);
@@ -359,7 +343,7 @@ pub(crate) fn lagrangian_pre(
     );
     // Revert.
     if copy_back {
-        roundtrip(patches, &[f.density1, f.energy1, f.density0, f.energy0]);
+        roundtrip(patches.iter_mut(), f, Staged::Revert);
     }
     for (dst, src) in [(f.density1, f.density0), (f.energy1, f.energy0)] {
         batched_launch(
@@ -376,10 +360,7 @@ pub(crate) fn lagrangian_pre(
     }
     // Accelerate.
     if copy_back {
-        roundtrip(
-            patches,
-            &[f.xvel1, f.yvel1, f.xvel0, f.yvel0, f.density0, f.pressure, f.viscosity],
-        );
+        roundtrip(patches.iter_mut(), f, Staged::Accelerate);
     }
     let node = |p: &Patch| Centring::Node.data_box(p.cell_box());
     let regs = regions_for(patches, Pass::Full, 1, Centring::Node, node);
@@ -411,21 +392,7 @@ fn pdv(
     predict: bool,
 ) {
     if copy_back {
-        roundtrip(
-            patches,
-            &[
-                f.energy1,
-                f.density1,
-                f.energy0,
-                f.density0,
-                f.pressure,
-                f.viscosity,
-                f.xvel0,
-                f.xvel1,
-                f.yvel0,
-                f.yvel1,
-            ],
-        );
+        roundtrip(patches.iter_mut(), f, Staged::Pdv);
     }
     let dt_eff = if predict { 0.5 * dt } else { dt };
     let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
@@ -482,7 +449,7 @@ pub(crate) fn flux_calc(
     dt: f64,
 ) {
     if copy_back && pass != Pass::Boundary {
-        roundtrip(patches, &[f.vol_flux_x, f.vol_flux_y, f.xvel0, f.xvel1, f.yvel0, f.yvel1]);
+        roundtrip(patches.iter_mut(), f, Staged::FluxCalc);
     }
     for (ordinal, (axis, (flux, v0, v1))) in
         [(0usize, (f.vol_flux_x, f.xvel0, f.xvel1)), (1, (f.vol_flux_y, f.yvel0, f.yvel1))]
@@ -542,10 +509,7 @@ pub(crate) fn advec_cell(
     let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
     let vol_flux = if dir == 0 { f.vol_flux_x } else { f.vol_flux_y };
     if copy_back && pass != Pass::Boundary {
-        roundtrip(
-            patches,
-            &[f.density1, f.energy1, mass_flux, vol_flux, f.pre_vol, f.post_vol, f.ener_flux],
-        );
+        roundtrip(patches.iter_mut(), f, Staged::AdvecCell { dir });
     }
     let ghost = |p: &Patch| ComputeRegion::GhostBox.cell_box(p.cell_box());
     let regs = regions_for(patches, pass, 1, Centring::Cell, ghost);
@@ -650,32 +614,7 @@ fn revert_save(
     if patches.is_empty() {
         return;
     }
-    let m = margin(5);
-    let caps: Vec<Vec<GBox>> = patches
-        .iter()
-        .map(|p| {
-            let ebox = dev(p.data(f.energy1)).data_box();
-            match pass {
-                Pass::Full => vec![ebox],
-                Pass::Interior | Pass::Boundary => {
-                    let core = interior_core(p.cell_box(), m);
-                    if core.is_empty() {
-                        return if pass == Pass::Boundary { vec![ebox] } else { Vec::new() };
-                    }
-                    let (inner, frames) = split_region(ebox, Centring::Cell.data_box(core));
-                    if pass == Pass::Interior {
-                        if inner.is_empty() {
-                            Vec::new()
-                        } else {
-                            vec![inner]
-                        }
-                    } else {
-                        frames.into_iter().filter(|b| !b.is_empty()).collect()
-                    }
-                }
-            }
-        })
-        .collect();
+    let caps = regions_for(patches, pass, 5, Centring::Cell, |p| dev(p.data(f.energy1)).data_box());
     let device = dev(patches[0].data(f.energy1)).device().clone();
     if pass != Pass::Boundary {
         stash.clear();
@@ -736,21 +675,7 @@ pub(crate) fn advec_mom(
 ) {
     let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
     if copy_back && pass != Pass::Boundary {
-        roundtrip(
-            patches,
-            &[
-                f.xvel1,
-                f.yvel1,
-                f.density1,
-                mass_flux,
-                f.node_flux,
-                f.node_mass_post,
-                f.node_mass_pre,
-                f.mom_flux,
-                f.post_vol,
-                f.pre_vol,
-            ],
-        );
+        roundtrip(patches.iter_mut(), f, Staged::AdvecMom { dir });
     }
     let node_region = |p: &Patch| Centring::Node.data_box(p.cell_box().grow(IntVector::ONE));
     let regs = regions_for(patches, pass, 1, Centring::Node, node_region);
@@ -855,10 +780,7 @@ pub(crate) fn advec_mom(
 /// End-of-step field reset: four full-region batched copies.
 pub(crate) fn reset(patches: &mut [Patch], f: &Fields, stream: &Stream, copy_back: bool) {
     if copy_back {
-        roundtrip(
-            patches,
-            &[f.density0, f.energy0, f.xvel0, f.yvel0, f.density1, f.energy1, f.xvel1, f.yvel1],
-        );
+        roundtrip(patches.iter_mut(), f, Staged::Reset);
     }
     for (dst, src, node) in [
         (f.density0, f.density1, false),

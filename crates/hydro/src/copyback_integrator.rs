@@ -13,8 +13,8 @@
 //! exactly the residency benefit the paper claims.
 
 use crate::device_integrator::DevicePatchIntegrator;
-use crate::state::{Fields, FlagThresholds, PatchIntegrator, RegionInit, Summary};
-use rbamr_amr::{Patch, TagBitmap, VariableId};
+use crate::state::{Fields, FlagThresholds, PatchIntegrator, RegionInit, Staged, Summary};
+use rbamr_amr::{Patch, TagBitmap};
 use rbamr_gpu_amr::DeviceData;
 use rbamr_perfmodel::Category;
 
@@ -29,18 +29,26 @@ impl CopyBackPatchIntegrator {
     pub fn new() -> Self {
         Self { inner: DevicePatchIntegrator::new() }
     }
+}
 
-    /// Round-trip the named variables: D2H of the current values (the
-    /// "result copy" of the previous phase in the Wang et al. scheme)
-    /// followed by H2D (staging for the next kernel). Both transfers
-    /// are real: counted by the device and charged to the clock.
-    fn roundtrip(&self, patch: &mut Patch, vars: &[VariableId]) {
-        for &var in vars {
+/// Round-trip the staged variables of kernel group `k` on each patch:
+/// D2H of the current values (the "result copy" of the previous phase
+/// in the Wang et al. scheme) followed by H2D (staging for the next
+/// kernel). Both transfers are real: counted by the device and charged
+/// to the clock.
+pub(crate) fn roundtrip<'a>(
+    patches: impl IntoIterator<Item = &'a mut Patch>,
+    f: &Fields,
+    k: Staged,
+) {
+    let vars = f.staged(k);
+    for patch in patches {
+        for &var in &vars {
             let data = patch
                 .data_mut(var)
                 .as_any_mut()
                 .downcast_mut::<DeviceData<f64>>()
-                .expect("copy-back integrator on non-device data");
+                .expect("copy-back staging on non-device data");
             let host = data.download_all(Category::HydroKernel);
             data.upload_all(&host, Category::HydroKernel);
         }
@@ -71,96 +79,52 @@ impl PatchIntegrator for CopyBackPatchIntegrator {
     }
 
     fn ideal_gas(&self, patch: &mut Patch, f: &Fields, gamma: f64, predict: bool) {
-        let (rho, e) = if predict { (f.density1, f.energy1) } else { (f.density0, f.energy0) };
-        self.roundtrip(patch, &[f.pressure, f.soundspeed, rho, e]);
+        roundtrip([&mut *patch], f, Staged::IdealGas { predict });
         self.inner.ideal_gas(patch, f, gamma, predict);
     }
 
     fn viscosity(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64)) {
-        self.roundtrip(patch, &[f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0]);
+        roundtrip([&mut *patch], f, Staged::Viscosity);
         self.inner.viscosity(patch, f, dx);
     }
 
     fn calc_dt(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), cfl: f64) -> f64 {
-        self.roundtrip(
-            patch,
-            &[f.density0, f.pressure, f.viscosity, f.soundspeed, f.xvel0, f.yvel0],
-        );
+        roundtrip([&mut *patch], f, Staged::CalcDt);
         self.inner.calc_dt(patch, f, dx, cfl)
     }
 
     fn pdv(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64, predict: bool) {
-        self.roundtrip(
-            patch,
-            &[
-                f.energy1,
-                f.density1,
-                f.energy0,
-                f.density0,
-                f.pressure,
-                f.viscosity,
-                f.xvel0,
-                f.xvel1,
-                f.yvel0,
-                f.yvel1,
-            ],
-        );
+        roundtrip([&mut *patch], f, Staged::Pdv);
         self.inner.pdv(patch, f, dx, dt, predict);
     }
 
     fn revert(&self, patch: &mut Patch, f: &Fields) {
-        self.roundtrip(patch, &[f.density1, f.energy1, f.density0, f.energy0]);
+        roundtrip([&mut *patch], f, Staged::Revert);
         self.inner.revert(patch, f);
     }
 
     fn accelerate(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        self.roundtrip(
-            patch,
-            &[f.xvel1, f.yvel1, f.xvel0, f.yvel0, f.density0, f.pressure, f.viscosity],
-        );
+        roundtrip([&mut *patch], f, Staged::Accelerate);
         self.inner.accelerate(patch, f, dx, dt);
     }
 
     fn flux_calc(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dt: f64) {
-        self.roundtrip(patch, &[f.vol_flux_x, f.vol_flux_y, f.xvel0, f.xvel1, f.yvel0, f.yvel1]);
+        roundtrip([&mut *patch], f, Staged::FluxCalc);
         self.inner.flux_calc(patch, f, dx, dt);
     }
 
     fn advec_cell(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dir: usize, sweep: usize) {
-        let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
-        let vol_flux = if dir == 0 { f.vol_flux_x } else { f.vol_flux_y };
-        self.roundtrip(
-            patch,
-            &[f.density1, f.energy1, mass_flux, vol_flux, f.pre_vol, f.post_vol, f.ener_flux],
-        );
+        roundtrip([&mut *patch], f, Staged::AdvecCell { dir });
         self.inner.advec_cell(patch, f, dx, dir, sweep);
     }
 
     fn advec_mom(&self, patch: &mut Patch, f: &Fields, dx: (f64, f64), dir: usize, sweep: usize) {
-        let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
-        self.roundtrip(
-            patch,
-            &[
-                f.xvel1,
-                f.yvel1,
-                f.density1,
-                mass_flux,
-                f.node_flux,
-                f.node_mass_post,
-                f.node_mass_pre,
-                f.mom_flux,
-                f.post_vol,
-                f.pre_vol,
-            ],
-        );
+        roundtrip([&mut *patch], f, Staged::AdvecMom { dir });
         self.inner.advec_mom(patch, f, dx, dir, sweep);
     }
 
     fn reset(&self, patch: &mut Patch, f: &Fields) {
-        self.roundtrip(
-            patch,
-            &[f.density0, f.energy0, f.xvel0, f.yvel0, f.density1, f.energy1, f.xvel1, f.yvel1],
-        );
+        roundtrip([&mut *patch], f, Staged::Reset);
         self.inner.reset(patch, f);
     }
 

@@ -14,6 +14,7 @@ use crate::batched::{self, Pass};
 use crate::boundary::ReflectiveBoundary;
 use crate::device_integrator::DevicePatchIntegrator;
 use crate::host_integrator::HostPatchIntegrator;
+use crate::kernels::nan_min;
 use crate::state::{Fields, FlagThresholds, HydroTagger, PatchIntegrator, RegionInit, Summary};
 use rbamr_amr::cluster::split_to_max;
 use rbamr_amr::hostdata::HostCostHook;
@@ -132,6 +133,9 @@ pub struct StepStats {
 /// * `Device` — a device allocation or transfer fault. Retrying may
 ///   help for a transient fault; a persistent one calls for degrading
 ///   the placement (device → copy-back → host).
+/// * `NonPhysical` — the state itself is inadmissible (a NaN, infinite
+///   or non-positive dt with no fault to explain it). The worst kind:
+///   replaying the same state reproduces it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
     /// A communication-layer fault (message drop/corruption, collective
@@ -148,6 +152,13 @@ pub enum SimError {
         /// was reported by a peer rank.
         detail: String,
     },
+    /// The step produced a non-physical state: the dt reduction saw a
+    /// NaN, infinite or non-positive timestep with no recorded fault.
+    NonPhysical {
+        /// What was observed locally, or a note that a peer rank
+        /// reported it.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -155,6 +166,9 @@ impl std::fmt::Display for SimError {
         match self {
             Self::Comm { detail } => write!(f, "step aborted by a communication fault: {detail}"),
             Self::Device { detail } => write!(f, "step aborted by a device fault: {detail}"),
+            Self::NonPhysical { detail } => {
+                write!(f, "step produced a non-physical state: {detail}")
+            }
         }
     }
 }
@@ -238,12 +252,148 @@ pub struct HydroSim {
     recorder: rbamr_telemetry::Recorder,
 }
 
-struct LevelSchedules {
-    start: Arc<RefineSchedule>,      // fill A: state fields before the step
-    post_accel: Arc<RefineSchedule>, // fill B: advanced velocities
-    post_sweep1: [Arc<RefineSchedule>; 2], // fill C per sweep direction
-    mid_sweeps: Arc<RefineSchedule>, // fill D: state + velocities
-    post_sweep2: [Arc<RefineSchedule>; 2], // fill E per sweep direction
+/// A ghost fill of the step program: the refine schedule that brings a
+/// set of variables up to date before a kernel group reads their ghosts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fill {
+    Start,
+    PostAccel,
+    PostSweep1,
+    MidSweeps,
+    PostSweep2,
+}
+
+impl Fill {
+    /// The sweep directions this fill has a schedule for.
+    fn dirs(self) -> &'static [usize] {
+        match self {
+            Fill::PostSweep1 | Fill::PostSweep2 => &[0, 1],
+            _ => &[0],
+        }
+    }
+
+    /// The variables filled for sweep direction `dir`.
+    fn vars(self, f: &Fields, dir: usize) -> Vec<VariableId> {
+        let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
+        match self {
+            Fill::Start => vec![f.density0, f.energy0, f.xvel0, f.yvel0],
+            // After the Lagrangian phase: the advected velocities AND the
+            // PdV-updated density/energy, whose depth-2 ghosts feed the
+            // van Leer limiter of the first advection sweep (CloverLeaf
+            // fills the same set before advection).
+            Fill::PostAccel | Fill::MidSweeps => vec![f.density1, f.energy1, f.xvel1, f.yvel1],
+            Fill::PostSweep1 => vec![f.density1, f.energy1, mass_flux],
+            Fill::PostSweep2 => vec![f.density1, mass_flux],
+        }
+    }
+}
+
+/// One level's fill schedules: one per (fill, sweep direction) named by
+/// [`STEP_PROGRAM`], in program order.
+struct LevelSchedules(Vec<(Fill, usize, Arc<RefineSchedule>)>);
+
+impl LevelSchedules {
+    fn get(&self, fill: Fill, dir: usize) -> &Arc<RefineSchedule> {
+        let dir = if fill.dirs().len() > 1 { dir } else { 0 };
+        let found = self.0.iter().find(|(f, d, _)| *f == fill && *d == dir);
+        &found.expect("the step program names every fill").2
+    }
+}
+
+/// A kernel group of the step program: [`PatchIntegrator`] calls per
+/// patch, or the matching [`crate::batched`] group function per level.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Group {
+    EosViscosity,
+    /// The CFL limits the dt fold reduces.
+    CalcDt,
+    /// Predictor PdV, predictor EOS, revert, accelerate, corrector PdV.
+    LagrangianPre,
+    FluxCalc,
+    /// Cell advection of sweep 1 or 2.
+    AdvecCell(usize),
+    /// Momentum advection of sweep 1 or 2.
+    AdvecMom(usize),
+    Reset,
+}
+
+impl Group {
+    /// The group's sweep direction this step (0 outside advection).
+    fn dir(self, dirs: [usize; 2]) -> usize {
+        match self {
+            Group::AdvecCell(sweep) | Group::AdvecMom(sweep) => dirs[sweep - 1],
+            _ => 0,
+        }
+    }
+}
+
+/// A telemetry span of the step: name and category.
+type Span = (&'static str, Category);
+const FILL_START: Span = ("fill-start", Category::HaloExchange);
+const EOS_VISCOSITY: Span = ("eos-viscosity", Category::HydroKernel);
+const DT_REDUCTION: Span = ("dt-reduction", Category::Timestep);
+const LAGRANGIAN: Span = ("lagrangian", Category::HydroKernel);
+const ADVECTION: Span = ("advection", Category::HydroKernel);
+
+/// One entry of the step program: the fill that lands before the kernel
+/// group, the span the group runs under (consecutive entries share an
+/// open span), and whether the device fault latch drains afterwards.
+/// The start fill is traced as its own `fill-start` span; every other
+/// fill runs inside its entry's span.
+struct Phase {
+    fill: Option<Fill>,
+    group: Group,
+    span: Span,
+    poll: bool,
+}
+
+/// The program's first entry, also run alone per patch to prime the EOS
+/// fields at initialisation and after a restore.
+#[rustfmt::skip]
+const PRIME: Phase = Phase { fill: Some(Fill::Start), group: Group::EosViscosity, span: EOS_VISCOSITY, poll: false };
+
+/// The CleverLeaf step up to synchronisation: EOS/viscosity, the dt
+/// reduction, the Lagrangian phase and the two advection sweeps
+/// (direction order alternating each step) with the fills between their
+/// kernels. [`HydroSim::run_program`] is its one interpreter.
+#[rustfmt::skip]
+const STEP_PROGRAM: [Phase; 9] = [
+    PRIME,
+    Phase { fill: None,                   group: Group::CalcDt,        span: DT_REDUCTION, poll: false },
+    Phase { fill: None,                   group: Group::LagrangianPre, span: LAGRANGIAN,   poll: false },
+    Phase { fill: Some(Fill::PostAccel),  group: Group::FluxCalc,      span: LAGRANGIAN,   poll: true },
+    Phase { fill: None,                   group: Group::AdvecCell(1),  span: ADVECTION,    poll: false },
+    Phase { fill: Some(Fill::PostSweep1), group: Group::AdvecMom(1),   span: ADVECTION,    poll: false },
+    Phase { fill: Some(Fill::MidSweeps),  group: Group::AdvecCell(2),  span: ADVECTION,    poll: false },
+    Phase { fill: Some(Fill::PostSweep2), group: Group::AdvecMom(2),   span: ADVECTION,    poll: false },
+    Phase { fill: None,                   group: Group::Reset,         span: ADVECTION,    poll: true },
+];
+
+/// The open span of the step program.
+struct SpanCursor {
+    rec: rbamr_telemetry::Recorder,
+    open: Option<(Span, rbamr_telemetry::SpanGuard)>,
+}
+
+impl SpanCursor {
+    /// Make `span` the open span; a different open span closes first.
+    fn enter(&mut self, span: Span) {
+        if self.open.as_ref().is_none_or(|(s, _)| *s != span) {
+            self.open = None;
+            self.open = self.rec.is_enabled().then(|| (span, self.rec.span(span.0, span.1)));
+        }
+    }
+}
+
+/// What the executor carries between the entries of one step.
+#[derive(Default)]
+struct StepState {
+    dt: f64,
+    dirs: [usize; 2],
+    /// Per-level copies a batched advection group stages in a window's
+    /// interior pass for its boundary pass.
+    cell_stash: Vec<Vec<batched::CellStash>>,
+    mom_stash: Vec<Vec<batched::MomStash>>,
 }
 
 impl HydroSim {
@@ -438,9 +588,7 @@ impl HydroSim {
                 .map_err(|e| RestoreError::Exchange { detail: e.to_string() })?;
         }
         self.rebuild_schedules();
-        let refill = self.try_fill_start(comm);
-        self.eos_and_viscosity();
-        refill.map_err(|e| RestoreError::Exchange { detail: e.to_string() })
+        self.prime_eos(comm).map_err(|e| RestoreError::Exchange { detail: e.to_string() })
     }
 
     fn refine_op_for(&self, var: VariableId) -> Arc<dyn RefineOperator> {
@@ -481,44 +629,17 @@ impl HydroSim {
             build.strategy = BuildStrategy::Partitioned;
         }
         let f = &self.fields;
-        let start_vars = [f.density0, f.energy0, f.xvel0, f.yvel0];
-        // After the Lagrangian phase: the advected velocities AND the
-        // PdV-updated density/energy, whose depth-2 ghosts feed the van
-        // Leer limiter of the first advection sweep (CloverLeaf fills
-        // the same set before advection).
-        let b_vars = [f.density1, f.energy1, f.xvel1, f.yvel1];
-        let c_vars = |dir: usize| {
-            [f.density1, f.energy1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }]
-        };
-        let d_vars = [f.density1, f.energy1, f.xvel1, f.yvel1];
-        let e_vars =
-            |dir: usize| [f.density1, if dir == 0 { f.mass_flux_x } else { f.mass_flux_y }];
         self.fill_schedules = (0..self.hierarchy.num_levels())
-            .map(|l| LevelSchedules {
-                start: build.refine(
-                    &self.hierarchy,
-                    &self.registry,
-                    l,
-                    &self.fill_specs(&start_vars),
-                ),
-                post_accel: build.refine(
-                    &self.hierarchy,
-                    &self.registry,
-                    l,
-                    &self.fill_specs(&b_vars),
-                ),
-                post_sweep1: [0, 1].map(|d| {
-                    build.refine(&self.hierarchy, &self.registry, l, &self.fill_specs(&c_vars(d)))
-                }),
-                mid_sweeps: build.refine(
-                    &self.hierarchy,
-                    &self.registry,
-                    l,
-                    &self.fill_specs(&d_vars),
-                ),
-                post_sweep2: [0, 1].map(|d| {
-                    build.refine(&self.hierarchy, &self.registry, l, &self.fill_specs(&e_vars(d)))
-                }),
+            .map(|l| {
+                let mut scheds = Vec::new();
+                for fill in STEP_PROGRAM.iter().filter_map(|p| p.fill) {
+                    for &dir in fill.dirs() {
+                        let specs = self.fill_specs(&fill.vars(f, dir));
+                        let sched = build.refine(&self.hierarchy, &self.registry, l, &specs);
+                        scheds.push((fill, dir, sched));
+                    }
+                }
+                LevelSchedules(scheds)
             })
             .collect();
 
@@ -571,11 +692,6 @@ impl HydroSim {
         &self.batch_plans
     }
 
-    /// Whether this step executes through the batched per-level path.
-    fn is_batched(&self) -> bool {
-        self.config.batched && self.device.is_some()
-    }
-
     /// Refresh every level's [`rbamr_gpu_amr::BatchPlan`]: a cache hit
     /// is a structure-key comparison; a miss rebuilds the descriptor
     /// table and uploads it to the device (the only extra PCIe traffic
@@ -613,13 +729,13 @@ impl HydroSim {
         &mut self,
         comm: Option<&Comm>,
         first: &mut Option<SimError>,
-        which: impl Fn(&LevelSchedules) -> &Arc<RefineSchedule>,
+        (fill, dir): (Fill, usize),
         mut compute: impl FnMut(&mut Self, usize, Pass, &Stream),
     ) {
         let device = self.device.clone().expect("batched window needs a device");
         let nlevels = self.hierarchy.num_levels();
         let scheds: Vec<Arc<RefineSchedule>> =
-            self.fill_schedules.iter().map(|s| Arc::clone(which(s))).collect();
+            self.fill_schedules.iter().map(|s| Arc::clone(s.get(fill, dir))).collect();
         let mut pendings = Vec::with_capacity(nlevels);
         for sched in &scheds {
             pendings.push(sched.begin_fill(
@@ -679,7 +795,7 @@ impl HydroSim {
     /// level order. Used by tests to check that cached schedules are
     /// plan-identical to fresh builds (e.g. across a restart).
     pub fn start_fill_digests(&self) -> Vec<Vec<String>> {
-        self.fill_schedules.iter().map(|s| s.start.plan_digest()).collect()
+        self.fill_schedules.iter().map(|s| s.get(Fill::Start, 0).plan_digest()).collect()
     }
 
     /// Switch how level metadata is held ([`MetadataMode`]). Must be
@@ -776,7 +892,7 @@ impl HydroSim {
             let before = self.hierarchy.num_levels();
             // Ghost values must be valid before flagging: gradients at
             // patch borders would otherwise see uninitialised zeros.
-            if let Err(e) = self.try_fill_start(comm) {
+            if let Err(e) = self.try_fill((Fill::Start, 0), comm) {
                 first.get_or_insert(e);
             }
             if let Err(e) = self.try_regrid(comm) {
@@ -788,10 +904,9 @@ impl HydroSim {
             }
         }
         // Prime the EOS fields so diagnostics and the first dt are valid.
-        if let Err(e) = self.try_fill_start(comm) {
+        if let Err(e) = self.prime_eos(comm) {
             first.get_or_insert(e);
         }
-        self.eos_and_viscosity();
         self.poll_device(&mut first);
         self.commit(comm, first)
     }
@@ -820,13 +935,12 @@ impl HydroSim {
     /// communication pattern is identical whether or not a fault fired.
     fn try_fill(
         &mut self,
-        which: impl Fn(&LevelSchedules) -> &RefineSchedule,
+        (fill, dir): (Fill, usize),
         comm: Option<&Comm>,
     ) -> Result<(), SimError> {
         let mut first: Option<SimError> = None;
         for l in 0..self.hierarchy.num_levels() {
-            let sched = which(&self.fill_schedules[l]);
-            if let Err(e) = sched.try_fill(
+            if let Err(e) = self.fill_schedules[l].get(fill, dir).try_fill(
                 &mut self.hierarchy,
                 &self.registry,
                 &self.boundary,
@@ -837,14 +951,97 @@ impl HydroSim {
                 first.get_or_insert(e.into());
             }
         }
-        match first {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        first.map_or(Ok(()), Err)
     }
 
-    fn try_fill_start(&mut self, comm: Option<&Comm>) -> Result<(), SimError> {
-        self.try_fill(|s| &s.start, comm)
+    /// Run [`PRIME`] per patch and outside any span, so diagnostics and
+    /// the first dt see valid EOS fields.
+    fn prime_eos(&mut self, comm: Option<&Comm>) -> Result<(), SimError> {
+        let mut first = None;
+        let mut state = StepState::default();
+        let rec = rbamr_telemetry::Recorder::disabled();
+        let mut spans = SpanCursor { rec, open: None };
+        self.run_phase(&PRIME, false, comm, &mut first, &mut state, &mut spans);
+        first.map_or(Ok(()), Err)
+    }
+
+    /// The step executor: interpret [`STEP_PROGRAM`] and return the
+    /// step's dt. The launch granularity — per patch, or batched per
+    /// level (device placements only) — is the one thing
+    /// `config.batched` selects.
+    fn run_program(
+        &mut self,
+        comm: Option<&Comm>,
+        first: &mut Option<SimError>,
+        dt_cap: Option<f64>,
+    ) -> f64 {
+        let batched = self.config.batched && self.device.is_some();
+        let nlevels = self.hierarchy.num_levels();
+        let mut state = StepState {
+            dt: f64::INFINITY,
+            dirs: if self.step.is_multiple_of(2) { [0, 1] } else { [1, 0] },
+            cell_stash: (0..nlevels).map(|_| Vec::new()).collect(),
+            mom_stash: (0..nlevels).map(|_| Vec::new()).collect(),
+        };
+        let mut spans = SpanCursor { rec: self.recorder.clone(), open: None };
+        for phase in &STEP_PROGRAM {
+            self.run_phase(phase, batched, comm, first, &mut state, &mut spans);
+            if phase.group == Group::CalcDt {
+                state.dt = self.reduce_dt(state.dt, comm, first, dt_cap);
+            }
+            if phase.poll {
+                spans.open = None;
+                self.poll_device(first);
+            }
+        }
+        state.dt
+    }
+
+    /// Run one entry. Per patch: the fill, then the group's
+    /// [`PatchIntegrator`] calls. Batched: an interior/boundary window
+    /// overlapping the fill's exchange when the entry has a fill, else
+    /// one full-region launch per kernel per level.
+    fn run_phase(
+        &mut self,
+        phase: &Phase,
+        batched: bool,
+        comm: Option<&Comm>,
+        first: &mut Option<SimError>,
+        state: &mut StepState,
+        spans: &mut SpanCursor,
+    ) {
+        let (group, dir) = (phase.group, phase.group.dir(state.dirs));
+        let fill_span = if phase.fill == Some(Fill::Start) { FILL_START } else { phase.span };
+        match (batched, phase.fill) {
+            (false, fill) => {
+                if let Some(fill) = fill {
+                    spans.enter(fill_span);
+                    if let Err(e) = self.try_fill((fill, dir), comm) {
+                        first.get_or_insert(e);
+                    }
+                }
+                spans.enter(phase.span);
+                self.per_patch_group(group, state);
+            }
+            (true, Some(fill)) => {
+                spans.enter(fill_span);
+                if fill == Fill::Start {
+                    // The step's first fill: a regrid or restore may
+                    // have changed the structure since the last step.
+                    self.refresh_batch_plans();
+                }
+                self.batched_window(comm, first, (fill, dir), |sim, l, pass, stream| {
+                    sim.batched_group(group, l, pass, stream, state);
+                });
+            }
+            (true, None) => {
+                spans.enter(phase.span);
+                let stream = Stream::new(self.device.as_ref().expect("batched needs a device"));
+                for l in 0..self.hierarchy.num_levels() {
+                    self.batched_group(group, l, Pass::Full, &stream, state);
+                }
+            }
+        }
     }
 
     fn each_patch(
@@ -860,60 +1057,116 @@ impl HydroSim {
         }
     }
 
-    fn eos_and_viscosity(&mut self) {
-        let gamma = self.config.gamma;
-        self.each_patch(|ig, p, f, dx| {
-            ig.ideal_gas(p, f, gamma, false);
-            ig.viscosity(p, f, dx);
-        });
+    /// Kernel group `group` at per-patch granularity.
+    fn per_patch_group(&mut self, group: Group, state: &mut StepState) {
+        let (gamma, cfl) = (self.config.gamma, self.config.cfl);
+        let (mut dt, dir) = (state.dt, group.dir(state.dirs));
+        match group {
+            Group::EosViscosity => self.each_patch(|ig, p, f, dx| {
+                ig.ideal_gas(p, f, gamma, false);
+                ig.viscosity(p, f, dx);
+            }),
+            Group::LagrangianPre => {
+                self.each_patch(|ig, p, f, dx| ig.pdv(p, f, dx, dt, true));
+                self.each_patch(|ig, p, f, _dx| ig.ideal_gas(p, f, gamma, true));
+                self.each_patch(|ig, p, f, _dx| ig.revert(p, f));
+                self.each_patch(|ig, p, f, dx| ig.accelerate(p, f, dx, dt));
+                self.each_patch(|ig, p, f, dx| ig.pdv(p, f, dx, dt, false));
+            }
+            Group::FluxCalc => self.each_patch(|ig, p, f, dx| ig.flux_calc(p, f, dx, dt)),
+            Group::AdvecCell(sweep) => {
+                self.each_patch(|ig, p, f, dx| ig.advec_cell(p, f, dx, dir, sweep));
+            }
+            Group::AdvecMom(sweep) => {
+                self.each_patch(|ig, p, f, dx| ig.advec_mom(p, f, dx, dir, sweep));
+            }
+            Group::Reset => self.each_patch(|ig, p, f, _dx| ig.reset(p, f)),
+            Group::CalcDt => {
+                self.each_patch(|ig, p, f, dx| dt = nan_min(dt, ig.calc_dt(p, f, dx, cfl)));
+                state.dt = dt;
+            }
+        }
     }
 
-    /// Compute the global dt: local CFL minimum, growth-limited, then
-    /// the MPI allreduce (the application's only global reduction).
+    /// Kernel group `group` on level `l`, one launch per kernel.
+    fn batched_group(
+        &mut self,
+        group: Group,
+        l: usize,
+        pass: Pass,
+        stream: &Stream,
+        state: &mut StepState,
+    ) {
+        let (f, gamma, cfl) = (self.fields, self.config.gamma, self.config.cfl);
+        let (dt, dir) = (state.dt, group.dir(state.dirs));
+        let copy_back = self.placement == Placement::DeviceCopyBack;
+        let dx = self.hierarchy.dx(l);
+        let patches = self.hierarchy.level_mut(l).local_mut();
+        // The Lagrangian chain and the reset have no fill, so never split.
+        match group {
+            Group::EosViscosity => {
+                batched::eos_viscosity(patches, &f, stream, copy_back, pass, gamma, dx);
+            }
+            Group::LagrangianPre => {
+                batched::lagrangian_pre(patches, &f, stream, copy_back, gamma, dx, dt);
+            }
+            Group::FluxCalc => batched::flux_calc(patches, &f, stream, copy_back, pass, dx, dt),
+            Group::AdvecCell(sweep) => {
+                let stash = &mut state.cell_stash[l];
+                batched::advec_cell(patches, &f, stream, copy_back, pass, dx, dir, sweep, stash);
+            }
+            Group::AdvecMom(_) => {
+                let stash = &mut state.mom_stash[l];
+                batched::advec_mom(patches, &f, stream, copy_back, pass, dir, stash);
+            }
+            Group::Reset => batched::reset(patches, &f, stream, copy_back),
+            // One launch and one 8n-byte download per level.
+            Group::CalcDt => {
+                let minima = batched::calc_dt(patches, &f, copy_back, dx, cfl);
+                state.dt = minima.into_iter().fold(dt, nan_min);
+            }
+        }
+    }
+
+    /// The dt fold. `dt` is the NaN-propagating minimum of the local
+    /// patches' CFL limits, folded in patch order at either granularity;
+    /// this bounds it, reduces it across ranks (the application's only
+    /// global reduction) and applies the caller's cap.
     ///
     /// Run-through: a faulted reduction records the error and falls
-    /// back to the local value — the step continues (and is later
-    /// rejected by the commit collective) rather than aborting
-    /// mid-pattern. A non-finite dt without a recorded fault is still a
-    /// hard bug and panics.
-    fn try_compute_dt(&mut self, comm: Option<&Comm>, first: &mut Option<SimError>) -> f64 {
-        let cfl = self.config.cfl;
-        let mut dt_local = f64::INFINITY;
-        if self.is_batched() {
-            // One launch and one 8n-byte download per level; the
-            // returned per-patch minima fold in the oracle's order.
-            let f = self.fields;
-            let copy_back = self.placement == Placement::DeviceCopyBack;
-            for l in 0..self.hierarchy.num_levels() {
-                let dx = self.hierarchy.dx(l);
-                let level = self.hierarchy.level_mut(l);
-                for dt in batched::calc_dt(level.local_mut(), &f, copy_back, dx, cfl) {
-                    dt_local = dt_local.min(dt);
-                }
-            }
-        } else {
-            for l in 0..self.hierarchy.num_levels() {
-                let dx = self.hierarchy.dx(l);
-                let level = self.hierarchy.level_mut(l);
-                for patch in level.local_mut() {
-                    dt_local = dt_local.min(self.integrator.calc_dt(patch, &self.fields, dx, cfl));
-                }
-            }
-        }
-        let mut dt = dt_local.min(self.config.dt_max).min(self.prev_dt * self.config.max_dt_growth);
+    /// back to the local value, and the commit collective rejects the
+    /// step later. A NaN, infinite or non-positive dt with no recorded
+    /// fault is reported as [`SimError::NonPhysical`].
+    fn reduce_dt(
+        &self,
+        dt: f64,
+        comm: Option<&Comm>,
+        first: &mut Option<SimError>,
+        dt_cap: Option<f64>,
+    ) -> f64 {
+        let local =
+            nan_min(nan_min(dt, self.config.dt_max), self.prev_dt * self.config.max_dt_growth);
+        let mut dt = local;
         if let Some(comm) = comm {
-            match comm.try_allreduce_min(dt, Category::Timestep) {
-                Ok(v) => dt = v,
-                Err(e) => {
-                    first.get_or_insert(e.into());
-                }
-            }
+            dt = comm.try_allreduce_min(dt, Category::Timestep).unwrap_or_else(|e| {
+                first.get_or_insert(e.into());
+                local
+            });
         }
-        if !(dt.is_finite() && dt > 0.0) {
-            assert!(first.is_some(), "non-finite dt {dt} without an injected fault");
+        let admissible = |dt: f64| dt.is_finite() && dt > 0.0;
+        if !(admissible(local) && admissible(dt)) {
+            first.get_or_insert_with(|| SimError::NonPhysical {
+                detail: format!("step {}: local dt {local}, reduced dt {dt}", self.step),
+            });
+        }
+        if !admissible(dt) {
             // Keep the doomed step numerically alive; the commit
             // collective will reject it and the driver rolls back.
             dt = self.config.dt_max;
+        }
+        if let Some(cap) = dt_cap {
+            assert!(cap > 0.0, "step_capped: non-positive dt cap");
+            dt = dt.min(cap);
         }
         dt
     }
@@ -956,188 +1209,11 @@ impl HydroSim {
         comm: Option<&Comm>,
         dt_cap: Option<f64>,
     ) -> Result<StepStats, SimError> {
-        let gamma = self.config.gamma;
         let rec = self.recorder.clone();
         let _step_span =
             rec.is_enabled().then(|| rec.span_arg("step", Category::Other, self.step as i64));
         let mut first: Option<SimError> = None;
-        let batched = self.is_batched();
-        let f = self.fields;
-        let copy_back = self.placement == Placement::DeviceCopyBack;
-
-        // --- Timestep phase ------------------------------------------
-        {
-            let _s = rec.is_enabled().then(|| rec.span("fill-start", Category::HaloExchange));
-            if batched {
-                self.refresh_batch_plans();
-                self.batched_window(
-                    comm,
-                    &mut first,
-                    |s| &s.start,
-                    |sim, l, pass, stream| {
-                        let dx = sim.hierarchy.dx(l);
-                        let patches = sim.hierarchy.level_mut(l).local_mut();
-                        batched::eos_viscosity(patches, &f, stream, copy_back, pass, gamma, dx);
-                    },
-                );
-            } else if let Err(e) = self.try_fill_start(comm) {
-                first.get_or_insert(e);
-            }
-        }
-        if !batched {
-            let _s = rec.is_enabled().then(|| rec.span("eos-viscosity", Category::HydroKernel));
-            self.eos_and_viscosity();
-        }
-        let mut dt = {
-            let _s = rec.is_enabled().then(|| rec.span("dt-reduction", Category::Timestep));
-            self.try_compute_dt(comm, &mut first)
-        };
-        if let Some(cap) = dt_cap {
-            assert!(cap > 0.0, "step_capped: non-positive dt cap");
-            dt = dt.min(cap);
-        }
-
-        // --- Lagrangian phase ----------------------------------------
-        {
-            let _s = rec.is_enabled().then(|| rec.span("lagrangian", Category::HydroKernel));
-            if batched {
-                let device = self.device.clone().expect("batched path has a device");
-                let stream = Stream::new(&device);
-                for l in 0..self.hierarchy.num_levels() {
-                    let dx = self.hierarchy.dx(l);
-                    let patches = self.hierarchy.level_mut(l).local_mut();
-                    batched::lagrangian_pre(patches, &f, &stream, copy_back, gamma, dx, dt);
-                }
-                self.batched_window(
-                    comm,
-                    &mut first,
-                    |s| &s.post_accel,
-                    |sim, l, pass, stream| {
-                        let dx = sim.hierarchy.dx(l);
-                        let patches = sim.hierarchy.level_mut(l).local_mut();
-                        batched::flux_calc(patches, &f, stream, copy_back, pass, dx, dt);
-                    },
-                );
-            } else {
-                self.each_patch(|ig, p, f, dx| ig.pdv(p, f, dx, dt, true));
-                self.each_patch(|ig, p, f, _dx| ig.ideal_gas(p, f, gamma, true));
-                self.each_patch(|ig, p, f, _dx| ig.revert(p, f));
-                self.each_patch(|ig, p, f, dx| ig.accelerate(p, f, dx, dt));
-                self.each_patch(|ig, p, f, dx| ig.pdv(p, f, dx, dt, false));
-                if let Err(e) = self.try_fill(|s| &s.post_accel, comm) {
-                    first.get_or_insert(e);
-                }
-                self.each_patch(|ig, p, f, dx| ig.flux_calc(p, f, dx, dt));
-            }
-        }
-        self.poll_device(&mut first);
-
-        // --- Advection phase (alternating sweep order) ---------------
-        {
-            let _s = rec.is_enabled().then(|| rec.span("advection", Category::HydroKernel));
-            let dirs = if self.step.is_multiple_of(2) { [0usize, 1] } else { [1, 0] };
-            if batched {
-                let device = self.device.clone().expect("batched path has a device");
-                let nlevels = self.hierarchy.num_levels();
-                let stream = Stream::new(&device);
-                let mut cell_stash: Vec<batched::CellStash> = Vec::new();
-                for l in 0..nlevels {
-                    let dx = self.hierarchy.dx(l);
-                    let patches = self.hierarchy.level_mut(l).local_mut();
-                    batched::advec_cell(
-                        patches,
-                        &f,
-                        &stream,
-                        copy_back,
-                        Pass::Full,
-                        dx,
-                        dirs[0],
-                        1,
-                        &mut cell_stash,
-                    );
-                }
-                let mut mom_stashes: Vec<Vec<batched::MomStash>> =
-                    (0..nlevels).map(|_| Vec::new()).collect();
-                self.batched_window(
-                    comm,
-                    &mut first,
-                    |s| &s.post_sweep1[dirs[0]],
-                    |sim, l, pass, stream| {
-                        let patches = sim.hierarchy.level_mut(l).local_mut();
-                        batched::advec_mom(
-                            patches,
-                            &f,
-                            stream,
-                            copy_back,
-                            pass,
-                            dirs[0],
-                            &mut mom_stashes[l],
-                        );
-                    },
-                );
-                let mut cell_stashes: Vec<Vec<batched::CellStash>> =
-                    (0..nlevels).map(|_| Vec::new()).collect();
-                self.batched_window(
-                    comm,
-                    &mut first,
-                    |s| &s.mid_sweeps,
-                    |sim, l, pass, stream| {
-                        let dx = sim.hierarchy.dx(l);
-                        let patches = sim.hierarchy.level_mut(l).local_mut();
-                        batched::advec_cell(
-                            patches,
-                            &f,
-                            stream,
-                            copy_back,
-                            pass,
-                            dx,
-                            dirs[1],
-                            2,
-                            &mut cell_stashes[l],
-                        );
-                    },
-                );
-                let mut mom_stashes: Vec<Vec<batched::MomStash>> =
-                    (0..nlevels).map(|_| Vec::new()).collect();
-                self.batched_window(
-                    comm,
-                    &mut first,
-                    |s| &s.post_sweep2[dirs[1]],
-                    |sim, l, pass, stream| {
-                        let patches = sim.hierarchy.level_mut(l).local_mut();
-                        batched::advec_mom(
-                            patches,
-                            &f,
-                            stream,
-                            copy_back,
-                            pass,
-                            dirs[1],
-                            &mut mom_stashes[l],
-                        );
-                    },
-                );
-                for l in 0..nlevels {
-                    let patches = self.hierarchy.level_mut(l).local_mut();
-                    batched::reset(patches, &f, &stream, copy_back);
-                }
-            } else {
-                self.each_patch(|ig, p, f, dx| ig.advec_cell(p, f, dx, dirs[0], 1));
-                if let Err(e) = self.try_fill(|s| &s.post_sweep1[dirs[0]], comm) {
-                    first.get_or_insert(e);
-                }
-                self.each_patch(|ig, p, f, dx| ig.advec_mom(p, f, dx, dirs[0], 1));
-                if let Err(e) = self.try_fill(|s| &s.mid_sweeps, comm) {
-                    first.get_or_insert(e);
-                }
-                self.each_patch(|ig, p, f, dx| ig.advec_cell(p, f, dx, dirs[1], 2));
-                if let Err(e) = self.try_fill(|s| &s.post_sweep2[dirs[1]], comm) {
-                    first.get_or_insert(e);
-                }
-                self.each_patch(|ig, p, f, dx| ig.advec_mom(p, f, dx, dirs[1], 2));
-                self.each_patch(|ig, p, f, _dx| ig.reset(p, f));
-            }
-        }
-        self.poll_device(&mut first);
+        let dt = self.run_program(comm, &mut first, dt_cap);
 
         // --- Synchronisation: project fine onto coarse ----------------
         {
@@ -1174,14 +1250,8 @@ impl HydroSim {
         if rec.is_enabled() {
             rec.count("hydro.steps", 1);
             let local_cells: i64 = (0..self.hierarchy.num_levels())
-                .map(|l| {
-                    self.hierarchy
-                        .level(l)
-                        .local()
-                        .iter()
-                        .map(|p| p.cell_box().num_cells())
-                        .sum::<i64>()
-                })
+                .flat_map(|l| self.hierarchy.level(l).local())
+                .map(|p| p.cell_box().num_cells())
                 .sum();
             rec.count("hydro.cells_advanced", local_cells as u64);
         }
@@ -1218,17 +1288,13 @@ impl HydroSim {
         comm: Option<&Comm>,
         first: Option<SimError>,
     ) -> Result<(), SimError> {
-        let Some(comm) = comm else {
-            return match first {
-                Some(e) => Err(e),
-                None => Ok(()),
-            };
-        };
+        let Some(comm) = comm else { return first.map_or(Ok(()), Err) };
         let ok = if first.is_none() { 1.0 } else { 0.0 };
         let reason = match &first {
             None => 0.0,
             Some(SimError::Comm { .. }) => 1.0,
             Some(SimError::Device { .. }) => 2.0,
+            Some(SimError::NonPhysical { .. }) => 3.0,
         };
         let agreed = comm.try_allreduce_min(ok, Category::Other).and_then(|all_ok| {
             comm.try_allreduce_max(reason, Category::Other).map(|worst| (all_ok, worst))
@@ -1236,14 +1302,18 @@ impl HydroSim {
         // Reuse the local error's inner detail rather than re-rendering
         // the whole error, so repeated commits don't nest prefixes.
         let inner = |e: SimError| match e {
-            SimError::Comm { detail } | SimError::Device { detail } => detail,
+            SimError::Comm { detail }
+            | SimError::Device { detail }
+            | SimError::NonPhysical { detail } => detail,
         };
         match agreed {
             Ok((all_ok, _)) if all_ok >= 1.0 => Ok(()),
             Ok((_, worst)) => {
                 let detail =
                     first.map(inner).unwrap_or_else(|| "a peer rank reported a fault".into());
-                Err(if worst >= 2.0 {
+                Err(if worst >= 3.0 {
+                    SimError::NonPhysical { detail }
+                } else if worst >= 2.0 {
                     SimError::Device { detail }
                 } else {
                     SimError::Comm { detail }
@@ -1485,11 +1555,15 @@ mod tests {
     }
 
     fn sim(placement: Placement, cells: i64, levels: usize) -> HydroSim {
+        sim_with(placement, cells, levels, HydroConfig::default())
+    }
+
+    fn sim_with(placement: Placement, cells: i64, levels: usize, config: HydroConfig) -> HydroSim {
         let machine = match placement {
             Placement::Host => Machine::ipa_cpu_node(),
             _ => Machine::ipa_gpu(),
         };
-        let mut config = HydroConfig { regrid_interval: 5, ..HydroConfig::default() };
+        let mut config = HydroConfig { regrid_interval: 5, ..config };
         config.regrid.cluster.min_size = 4;
         let mut s = HydroSim::new(
             machine,
@@ -1590,33 +1664,9 @@ mod tests {
     /// size capped so levels hold many patches (the regime batching
     /// exists for: launches scale with levels, not patches).
     fn sim_batched(placement: Placement, cells: i64, levels: usize, batched: bool) -> HydroSim {
-        let machine = match placement {
-            Placement::Host => Machine::ipa_cpu_node(),
-            _ => Machine::ipa_gpu(),
-        };
-        let mut config = HydroConfig {
-            regrid_interval: 5,
-            batched,
-            max_patch_size: 8,
-            ..HydroConfig::default()
-        };
-        config.regrid.cluster.min_size = 4;
+        let mut config = HydroConfig { batched, max_patch_size: 8, ..HydroConfig::default() };
         config.regrid.max_patch_size = 8;
-        let mut s = HydroSim::new(
-            machine,
-            placement,
-            Clock::new(),
-            (1.0, 1.0),
-            (cells, cells),
-            levels,
-            2,
-            config,
-            sod_regions(),
-            0,
-            1,
-        );
-        s.initialize(None);
-        s
+        sim_with(placement, cells, levels, config)
     }
 
     /// The tentpole equivalence property, single-rank edition: the

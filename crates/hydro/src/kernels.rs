@@ -210,11 +210,21 @@ pub fn calc_dt(
                 let (du, dv) = cell_velocity_jumps(u, v, x, y);
                 let div = (du / dx.0 + dv / dx.1).abs();
                 let dtdiv = 0.25 / div.max(1e-12);
-                dt = dt.min(cfl * dtx.min(dty)).min(dtdiv);
+                dt = nan_min(nan_min(dt, cfl * nan_min(dtx, dty)), dtdiv);
             }
             dt
         })
-        .reduce(|| f64::INFINITY, f64::min)
+        .reduce(|| f64::INFINITY, nan_min)
+}
+
+/// `f64::min`, except that a NaN operand gives NaN: the CFL reduction
+/// must carry a NaN cell to the dt verdict instead of dropping it.
+pub(crate) fn nan_min(a: f64, b: f64) -> f64 {
+    if a.is_nan() || b.is_nan() {
+        f64::NAN
+    } else {
+        a.min(b)
+    }
 }
 
 // --------------------------------------------------------------------

@@ -8,16 +8,10 @@
 //! to whether a patch advances on the CPU ([`HostPatchIntegrator`]) or
 //! on the resident GPU ([`DevicePatchIntegrator`]).
 //!
-//! The timestep follows CloverLeaf's `hydro` loop:
-//!
-//! 1. `ideal_gas` (EOS) + artificial `viscosity` + `calc_dt`
-//!    (the only global reduction);
-//! 2. predictor `pdv` → predicted EOS → `revert` → `accelerate`
-//!    → corrector `pdv`;
-//! 3. `flux_calc`, then directionally split second-order (van Leer)
-//!    advection of mass/energy (`advec_cell`) and momentum
-//!    (`advec_mom`), alternating sweep order each step;
-//! 4. `reset` (copy new state to old).
+//! The timestep follows CloverLeaf's `hydro` loop — EOS, viscosity and
+//! the dt reduction (the only global reduction), the Lagrangian phase,
+//! then directionally split van Leer advection with alternating sweep
+//! order — written once, as the phase table the integrator interprets.
 //!
 //! [`HydroSim`] drives the whole hierarchy with synchronised
 //! timestepping (one global dt, all levels advanced in lockstep),

@@ -96,6 +96,56 @@ impl Fields {
     pub fn state_fields(&self) -> [VariableId; 6] {
         [self.density0, self.energy0, self.xvel0, self.yvel0, self.pressure, self.viscosity]
     }
+
+    /// The full arrays the copy-back placement round-trips over PCIe
+    /// before kernel group `k` runs. The per-patch and the batched
+    /// copy-back paths both stage exactly these lists.
+    #[rustfmt::skip]
+    pub(crate) fn staged(&self, k: Staged) -> Vec<VariableId> {
+        let f = self;
+        let mass_flux = |dir: usize| if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
+        let vol_flux = |dir: usize| if dir == 0 { f.vol_flux_x } else { f.vol_flux_y };
+        match k {
+            Staged::IdealGas { predict: false } => vec![f.pressure, f.soundspeed, f.density0, f.energy0],
+            Staged::IdealGas { predict: true } => vec![f.pressure, f.soundspeed, f.density1, f.energy1],
+            Staged::Viscosity => vec![f.viscosity, f.density0, f.soundspeed, f.xvel0, f.yvel0],
+            Staged::CalcDt => vec![f.density0, f.pressure, f.viscosity, f.soundspeed, f.xvel0, f.yvel0],
+            Staged::Pdv => vec![
+                f.energy1, f.density1, f.energy0, f.density0, f.pressure, f.viscosity,
+                f.xvel0, f.xvel1, f.yvel0, f.yvel1,
+            ],
+            Staged::Revert => vec![f.density1, f.energy1, f.density0, f.energy0],
+            Staged::Accelerate => vec![f.xvel1, f.yvel1, f.xvel0, f.yvel0, f.density0, f.pressure, f.viscosity],
+            Staged::FluxCalc => vec![f.vol_flux_x, f.vol_flux_y, f.xvel0, f.xvel1, f.yvel0, f.yvel1],
+            Staged::AdvecCell { dir } => vec![
+                f.density1, f.energy1, mass_flux(dir), vol_flux(dir), f.pre_vol, f.post_vol,
+                f.ener_flux,
+            ],
+            Staged::AdvecMom { dir } => vec![
+                f.xvel1, f.yvel1, f.density1, mass_flux(dir), f.node_flux, f.node_mass_post,
+                f.node_mass_pre, f.mom_flux, f.post_vol, f.pre_vol,
+            ],
+            Staged::Reset => vec![
+                f.density0, f.energy0, f.xvel0, f.yvel0, f.density1, f.energy1, f.xvel1, f.yvel1,
+            ],
+        }
+    }
+}
+
+/// A kernel group of the copy-back placement's staging discipline; see
+/// [`Fields::staged`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Staged {
+    IdealGas { predict: bool },
+    Viscosity,
+    CalcDt,
+    Pdv,
+    Revert,
+    Accelerate,
+    FluxCalc,
+    AdvecCell { dir: usize },
+    AdvecMom { dir: usize },
+    Reset,
 }
 
 /// One rectangular initial-condition region: the CloverLeaf "state"

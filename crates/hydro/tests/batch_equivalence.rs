@@ -58,6 +58,8 @@ struct RunConfig {
     cells: i64,
     mode: MetadataMode,
     steps: usize,
+    /// Maximum patch extent in cells, on every level.
+    patch: i64,
 }
 
 /// Everything observable about one rank of a run: per-step digests,
@@ -84,13 +86,13 @@ fn run(cfg: RunConfig, engine: Engine, batched: bool) -> Vec<RankTrace> {
             comm.set_recorder(rec.clone());
             let mut config = HydroConfig {
                 regrid_interval: 3,
-                max_patch_size: 8,
+                max_patch_size: cfg.patch,
                 metadata_mode: cfg.mode,
                 batched,
                 ..HydroConfig::default()
             };
             config.regrid.cluster.min_size = 4;
-            config.regrid.max_patch_size = 8;
+            config.regrid.max_patch_size = cfg.patch;
             let regions = if cfg.deck == 0 { sod_regions() } else { blast_regions() };
             let mut sim = HydroSim::new(
                 m.clone(),
@@ -177,7 +179,7 @@ proptest! {
         partitioned in any::<bool>(),
     ) {
         let mode = if partitioned { MetadataMode::Partitioned } else { MetadataMode::Replicated };
-        check_equivalence(RunConfig { deck, ranks, cells, mode, steps: 3 });
+        check_equivalence(RunConfig { deck, ranks, cells, mode, steps: 3, patch: 8 });
     }
 }
 
@@ -191,7 +193,25 @@ fn eight_rank_partitioned_blast_matches() {
         cells: 32,
         mode: MetadataMode::Partitioned,
         steps: 3,
+        patch: 8,
     });
+}
+
+/// With 64-wide patches the interior cores of the early kernels in
+/// every window are non-empty, so the interior/boundary split itself
+/// runs (8-cell patches mostly degrade to boundary-only passes).
+#[test]
+fn large_patches_split_interior_and_boundary_and_match() {
+    for ranks in [1, 2] {
+        check_equivalence(RunConfig {
+            deck: 0,
+            ranks,
+            cells: 64,
+            mode: MetadataMode::Replicated,
+            steps: 6,
+            patch: 64,
+        });
+    }
 }
 
 /// In the many-patch regime (patches per rank ≫ levels) the batched
@@ -199,7 +219,14 @@ fn eight_rank_partitioned_blast_matches() {
 /// oracle, on every rank, while remaining bitwise identical.
 #[test]
 fn batched_issues_fewer_launches_in_many_patch_regime() {
-    let cfg = RunConfig { deck: 0, ranks: 2, cells: 32, mode: MetadataMode::Replicated, steps: 4 };
+    let cfg = RunConfig {
+        deck: 0,
+        ranks: 2,
+        cells: 32,
+        mode: MetadataMode::Replicated,
+        steps: 4,
+        patch: 8,
+    };
     let oracle = run(cfg, Engine::EventDriven, false);
     let batched = run(cfg, Engine::EventDriven, true);
     for (rank, (o, b)) in oracle.iter().zip(&batched).enumerate() {

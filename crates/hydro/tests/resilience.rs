@@ -398,3 +398,45 @@ fn loss_below_min_ranks_fails_fast_on_every_survivor() {
         "the survivor must fail fast below the configured rank floor"
     );
 }
+
+/// A negative-density region drives the CFL limit to NaN. The CFL
+/// reduction and the dt fold carry the NaN instead of dropping it, and
+/// the step fails with the same typed `NonPhysical` verdict, at the same
+/// step, on every rank — at both launch granularities.
+#[test]
+fn negative_density_is_rejected_as_non_physical_on_every_rank() {
+    for batched in [false, true] {
+        for nranks in [1usize, 2] {
+            let mut failures: Vec<_> = cluster(FaultPlan::none())
+                .run(nranks, move |comm| {
+                    let mut spec = spec(Placement::Device, comm.rank(), nranks);
+                    spec.config.batched = batched;
+                    spec.regions[1].density = -1.0;
+                    let mut sim = spec.build(Placement::Device, comm.clock().clone());
+                    sim.try_initialize(Some(&comm)).expect("initialisation computes no dt");
+                    (0..50).find_map(|step| {
+                        sim.try_step_capped(Some(&comm), None).err().map(|e| (step, e))
+                    })
+                })
+                .into_iter()
+                .map(|r| (r.rank, r.value))
+                .collect();
+            failures.sort_by_key(|(rank, _)| *rank);
+            let first = failures[0].1.clone();
+            for (rank, failure) in &failures {
+                let (step, err) = failure.as_ref().unwrap_or_else(|| {
+                    panic!("batched={batched} ranks={nranks} rank {rank}: NaN state ran 50 steps")
+                });
+                assert!(
+                    matches!(err, SimError::NonPhysical { .. }),
+                    "batched={batched} ranks={nranks} rank {rank}: expected NonPhysical, got {err:?}"
+                );
+                assert_eq!(
+                    Some(*step),
+                    first.as_ref().map(|(s, _)| *s),
+                    "batched={batched} ranks={nranks}: ranks disagree on the failing step"
+                );
+            }
+        }
+    }
+}

@@ -180,7 +180,9 @@ fn main() {
             comm.rank(),
             comm.size(),
         );
-        sim.initialize(comm_opt);
+        // A failed step or initialisation is a typed verdict agreed by
+        // every rank, so all ranks leave the loop together.
+        sim.try_initialize(comm_opt).map_err(|e| e.to_string())?;
 
         let mut steps_done = 0usize;
         loop {
@@ -192,7 +194,7 @@ fn main() {
             if finished {
                 break;
             }
-            let stats = sim.step(comm_opt);
+            let stats = sim.try_step_capped(comm_opt, None).map_err(|e| e.to_string())?;
             steps_done += 1;
             if comm.rank() == 0 && steps_done.is_multiple_of(a.summary_every) {
                 println!(
@@ -215,10 +217,16 @@ fn main() {
                 }
             }
         }
-        (summary, sim.time(), steps_done)
+        Ok::<_, String>((summary, sim.time(), steps_done))
     });
 
-    let (summary, t_end, steps) = results[0].value;
+    let (summary, t_end, steps) = match &results[0].value {
+        Ok(v) => *v,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    };
     let job = Cluster::job_time(&results);
     println!("\nfinished: {steps} steps to t = {t_end:.5}");
     println!("mass = {:.10}  total energy = {:.10}", summary.mass, summary.total_energy());
