@@ -478,7 +478,7 @@ fn main() {
             .sum();
 
         let (mut ok, mut detail) =
-            check(&s, &first.outcome, &baseline_digest, &baseline_survivor.outcome);
+            check(&s, &first.outcome, baseline_digest, &baseline_survivor.outcome);
         // Delay faults must be pure virtual-clock charges: virtual
         // seconds inflate versus the fault-free baseline, wall time
         // does not. A sleep smuggled into the transport path would

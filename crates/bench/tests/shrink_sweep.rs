@@ -97,10 +97,11 @@ fn run(
 /// survivors' digests to match a fault-free run at `nranks - 1`.
 fn assert_shrink_matches_survivor_baseline(deck: Deck, engine: Engine, mode: MetadataMode) {
     for nranks in [2usize, 4, 8] {
-        let baseline =
-            run(deck, engine, mode, nranks - 1, FaultPlan::none(), policy());
-        let plan =
-            FaultPlan::new(1000 + nranks as u64, vec![FaultRule::rank_kill(VICTIM, KILL_STEP as u64)]);
+        let baseline = run(deck, engine, mode, nranks - 1, FaultPlan::none(), policy());
+        let plan = FaultPlan::new(
+            1000 + nranks as u64,
+            vec![FaultRule::rank_kill(VICTIM, KILL_STEP as u64)],
+        );
         let killed = run(deck, engine, mode, nranks, plan, policy());
 
         assert_eq!(
@@ -121,7 +122,8 @@ fn assert_shrink_matches_survivor_baseline(deck: Deck, engine: Engine, mode: Met
             });
             let expect = baseline[logical].as_ref().expect("fault-free baseline cannot fail");
             assert_eq!(
-                digest, expect,
+                digest,
+                expect,
                 "{deck:?}/{engine:?}/{mode:?}/{nranks}r: survivor {orig} (logical {logical}) \
                  diverged from the {}-rank fault-free baseline",
                 nranks - 1
@@ -133,7 +135,11 @@ fn assert_shrink_matches_survivor_baseline(deck: Deck, engine: Engine, mode: Met
 
 #[test]
 fn sod_shrinks_event_driven_replicated() {
-    assert_shrink_matches_survivor_baseline(Deck::Sod, Engine::EventDriven, MetadataMode::Replicated);
+    assert_shrink_matches_survivor_baseline(
+        Deck::Sod,
+        Engine::EventDriven,
+        MetadataMode::Replicated,
+    );
 }
 
 #[test]
@@ -205,12 +211,8 @@ fn triple_point_shrinks_oracle_engine_partitioned() {
 fn loss_below_min_ranks_fails_fast_on_every_survivor() {
     let policy = RecoveryPolicy { min_ranks: 4, ..policy() };
     let plan = FaultPlan::new(77, vec![FaultRule::rank_kill(VICTIM, KILL_STEP as u64)]);
-    let results =
-        run(Deck::Sod, Engine::EventDriven, MetadataMode::Replicated, 4, plan, policy);
-    assert_eq!(
-        results[VICTIM],
-        Err(ResilienceError::Killed { rank: VICTIM, at_step: KILL_STEP })
-    );
+    let results = run(Deck::Sod, Engine::EventDriven, MetadataMode::Replicated, 4, plan, policy);
+    assert_eq!(results[VICTIM], Err(ResilienceError::Killed { rank: VICTIM, at_step: KILL_STEP }));
     for orig in [0usize, 2, 3] {
         assert_eq!(
             results[orig],

@@ -1,13 +1,19 @@
-//! Batched per-level kernel launches with interior/boundary splitting.
+//! The device kernel wiring of the hydro step, written once: for each
+//! of the 22 hydro kernels, the variables it reads and writes, its
+//! compute region, its `KernelShape` and its staging buffers.
 //!
-//! The per-patch oracle ([`crate::device_integrator`]) pays one launch
-//! per kernel per patch — the Figure 9 overhead that makes small grids
-//! launch-bound. This module issues **one launch per kernel per level**:
-//! the launch body loops over the level's patches (the logical element
-//! index of the level's [`BatchPlan`](rbamr_gpu_amr::BatchPlan) spans
-//! them all) and calls the *same* kernel functions on the same regions,
-//! so the arithmetic is bitwise identical to the oracle while the fixed
-//! launch latency is paid once per level.
+//! A call takes a slice of patches and issues **one launch per kernel**
+//! whose body loops over them, calling the [`crate::kernels`] functions
+//! on each patch's regions. [`HydroSim`](crate::HydroSim) passes a
+//! whole level (the logical element index of the level's
+//! [`BatchPlan`](rbamr_gpu_amr::BatchPlan) spans it), so the fixed
+//! launch latency is paid once per level. The per-patch device build
+//! ([`crate::device_integrator`]) passes a one-patch slice and so pays
+//! it once per patch — the Figure 9 overhead that makes small grids
+//! launch-bound. Both granularities run the same arithmetic on the same
+//! regions, so they are bitwise identical. With `copy_back`, each group
+//! first round-trips its staged arrays over PCIe: the non-resident
+//! baseline of [`Placement::DeviceCopyBack`](crate::Placement).
 //!
 //! For communication/computation overlap, each phase can run as two
 //! passes: [`Pass::Interior`] computes only patch cores that a
@@ -29,8 +35,6 @@
 //! empty and the whole kernel runs in the boundary pass, i.e. in the
 //! oracle's unoverlapped order.
 
-use crate::copyback_integrator::roundtrip;
-use crate::device_integrator::split_dev;
 use crate::kernels as k;
 use crate::state::{ComputeRegion, Fields, Staged, GHOSTS};
 use rbamr_amr::patchdata::PatchData;
@@ -146,12 +150,50 @@ fn regions_for(
         .collect()
 }
 
-fn dev(data: &dyn PatchData) -> &DeviceData<f64> {
-    data.as_any().downcast_ref::<DeviceData<f64>>().expect("batched executor on non-device data")
+/// The regions of a `Pass::Full` launch: each patch's nominal region.
+fn full_regions(patches: &[Patch], nominal_of: impl Fn(&Patch) -> GBox) -> Vec<Vec<GBox>> {
+    regions_for(patches, Pass::Full, 1, Centring::Cell, nominal_of)
+}
+
+pub(crate) fn dev(data: &dyn PatchData) -> &DeviceData<f64> {
+    data.as_any().downcast_ref::<DeviceData<f64>>().expect("device kernel on non-device data")
 }
 
 /// One patch's device handles, split into output and input variables.
 type SplitHandles<'a> = (Vec<&'a mut DeviceData<f64>>, Vec<&'a DeviceData<f64>>);
+
+fn split_dev<'a>(datas: &'a mut [&mut dyn PatchData], n_out: usize) -> SplitHandles<'a> {
+    let (outs, ins) = datas.split_at_mut(n_out);
+    let outs = outs
+        .iter_mut()
+        .map(|d| {
+            d.as_any_mut()
+                .downcast_mut::<DeviceData<f64>>()
+                .expect("device kernel on non-device data")
+        })
+        .collect();
+    (outs, ins.iter().map(|d| dev(&**d)).collect())
+}
+
+/// The copy-back baseline's staging for kernel group `k`: on each
+/// patch, D2H of the staged arrays' current values (the "result copy"
+/// of the previous phase in the Wang et al. scheme) followed by H2D
+/// (staging for the next kernel). Both transfers are real: counted by
+/// the device and charged to the clock.
+fn roundtrip(patches: &mut [Patch], f: &Fields, k: Staged) {
+    let vars = f.staged(k);
+    for patch in patches {
+        for &var in &vars {
+            let data = patch
+                .data_mut(var)
+                .as_any_mut()
+                .downcast_mut::<DeviceData<f64>>()
+                .expect("copy-back staging on non-device data");
+            let host = data.download_all(Category::HydroKernel);
+            data.upload_all(&host, Category::HydroKernel);
+        }
+    }
+}
 
 /// One batched launch: a single kernel invocation whose body loops the
 /// level's patches and applies `body` to each patch's region boxes.
@@ -194,46 +236,68 @@ fn batched_launch(
     });
 }
 
-/// EOS + viscosity — the compute half of the `fill-start` overlap
-/// window. Kernel ordinals 1–3.
-pub(crate) fn eos_viscosity(
+/// Equation of state — pressure, then sound speed. On the start
+/// fields over the ghost box, kernel ordinals 1–2 of the `fill-start`
+/// overlap window; with `predict`, on the half-stepped density/energy
+/// over one grown cell (the Lagrangian predictor, `Pass::Full` only).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ideal_gas(
     patches: &mut [Patch],
     f: &Fields,
     stream: &Stream,
     copy_back: bool,
     pass: Pass,
     gamma: f64,
-    dx: (f64, f64),
+    predict: bool,
 ) {
     if copy_back && pass != Pass::Boundary {
-        roundtrip(patches.iter_mut(), f, Staged::IdealGas { predict: false });
-        roundtrip(patches.iter_mut(), f, Staged::Viscosity);
+        roundtrip(patches, f, Staged::IdealGas { predict });
     }
-    let ghost = |p: &Patch| ComputeRegion::GhostBox.cell_box(p.cell_box());
-    let regs = regions_for(patches, pass, 1, Centring::Cell, ghost);
+    let (rho, e, region) = if predict {
+        (f.density1, f.energy1, ComputeRegion::Grown(1))
+    } else {
+        (f.density0, f.energy0, ComputeRegion::GhostBox)
+    };
+    let nominal = |p: &Patch| region.cell_box(p.cell_box());
+    let regs = regions_for(patches, pass, 1, Centring::Cell, nominal);
     batched_launch(
         patches,
         stream,
         "ideal-gas-pressure",
         Category::HydroKernel,
-        &[f.pressure, f.density0, f.energy0],
+        &[f.pressure, rho, e],
         3,
         3,
         &regs,
         |_kk, _i, p, pbox, v, r| k::ideal_gas_pressure(p, pbox, v[0], v[1], r, gamma),
     );
-    let regs = regions_for(patches, pass, 2, Centring::Cell, ghost);
+    let regs = regions_for(patches, pass, 2, Centring::Cell, nominal);
     batched_launch(
         patches,
         stream,
         "ideal-gas-soundspeed",
         Category::HydroKernel,
-        &[f.soundspeed, f.pressure, f.density0],
+        &[f.soundspeed, f.pressure, rho],
         3,
         5,
         &regs,
         |_kk, _i, ss, ssbox, v, r| k::ideal_gas_soundspeed(ss, ssbox, v[0], v[1], r, gamma),
     );
+}
+
+/// Artificial viscosity — kernel ordinal 3 of the `fill-start` overlap
+/// window, after [`ideal_gas`].
+pub(crate) fn viscosity(
+    patches: &mut [Patch],
+    f: &Fields,
+    stream: &Stream,
+    copy_back: bool,
+    pass: Pass,
+    dx: (f64, f64),
+) {
+    if copy_back && pass != Pass::Boundary {
+        roundtrip(patches, f, Staged::Viscosity);
+    }
     let regs = regions_for(patches, pass, 3, Centring::Cell, |p| {
         ComputeRegion::Grown(1).cell_box(p.cell_box())
     });
@@ -263,7 +327,7 @@ pub(crate) fn calc_dt(
     cfl: f64,
 ) -> Vec<f64> {
     if copy_back {
-        roundtrip(patches.iter_mut(), f, Staged::CalcDt);
+        roundtrip(patches, f, Staged::CalcDt);
     }
     if patches.is_empty() {
         return Vec::new();
@@ -300,89 +364,11 @@ pub(crate) fn calc_dt(
     host
 }
 
-/// The Lagrangian pre-fill chain — predictor PdV, predictor EOS,
-/// revert, accelerate, corrector PdV. No fill runs concurrently with
-/// these, so they batch as full-region launches (10 per level).
-pub(crate) fn lagrangian_pre(
-    patches: &mut [Patch],
-    f: &Fields,
-    stream: &Stream,
-    copy_back: bool,
-    gamma: f64,
-    dx: (f64, f64),
-    dt: f64,
-) {
-    pdv(patches, f, stream, copy_back, dx, dt, true);
-    // Predictor EOS on the half-stepped density/energy.
-    if copy_back {
-        roundtrip(patches.iter_mut(), f, Staged::IdealGas { predict: true });
-    }
-    let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
-    let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, grown);
-    batched_launch(
-        patches,
-        stream,
-        "ideal-gas-pressure",
-        Category::HydroKernel,
-        &[f.pressure, f.density1, f.energy1],
-        3,
-        3,
-        &regs,
-        |_kk, _i, p, pbox, v, r| k::ideal_gas_pressure(p, pbox, v[0], v[1], r, gamma),
-    );
-    batched_launch(
-        patches,
-        stream,
-        "ideal-gas-soundspeed",
-        Category::HydroKernel,
-        &[f.soundspeed, f.pressure, f.density1],
-        3,
-        5,
-        &regs,
-        |_kk, _i, ss, ssbox, v, r| k::ideal_gas_soundspeed(ss, ssbox, v[0], v[1], r, gamma),
-    );
-    // Revert.
-    if copy_back {
-        roundtrip(patches.iter_mut(), f, Staged::Revert);
-    }
-    for (dst, src) in [(f.density1, f.density0), (f.energy1, f.energy0)] {
-        batched_launch(
-            patches,
-            stream,
-            "copy-field",
-            Category::HydroKernel,
-            &[dst, src],
-            2,
-            0,
-            &regs,
-            |_kk, _i, d, dbox, v, r| k::copy_field(d, dbox, v[0], r),
-        );
-    }
-    // Accelerate.
-    if copy_back {
-        roundtrip(patches.iter_mut(), f, Staged::Accelerate);
-    }
-    let node = |p: &Patch| Centring::Node.data_box(p.cell_box());
-    let regs = regions_for(patches, Pass::Full, 1, Centring::Node, node);
-    for (axis, (v1, v0)) in [(0usize, (f.xvel1, f.xvel0)), (1, (f.yvel1, f.yvel0))] {
-        batched_launch(
-            patches,
-            stream,
-            "accelerate",
-            Category::HydroKernel,
-            &[v1, v0, f.density0, f.pressure, f.viscosity],
-            5,
-            20,
-            &regs,
-            |_kk, _i, out, nbox, v, r| {
-                k::accelerate(out, nbox, v[0], v[1], v[2], v[3], r, dt, dx, axis);
-            },
-        );
-    }
-    pdv(patches, f, stream, copy_back, dx, dt, false);
-}
-
-fn pdv(
+/// PdV work: energy then density over one grown cell, at half dt with
+/// the start velocities in the predictor. PdV, [`revert`] and
+/// [`accelerate`] run in the Lagrangian chain with no fill in flight,
+/// so they take no [`Pass`]: every launch is `Pass::Full`.
+pub(crate) fn pdv(
     patches: &mut [Patch],
     f: &Fields,
     stream: &Stream,
@@ -392,11 +378,10 @@ fn pdv(
     predict: bool,
 ) {
     if copy_back {
-        roundtrip(patches.iter_mut(), f, Staged::Pdv);
+        roundtrip(patches, f, Staged::Pdv);
     }
     let dt_eff = if predict { 0.5 * dt } else { dt };
-    let grown = |p: &Patch| ComputeRegion::Grown(1).cell_box(p.cell_box());
-    let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, grown);
+    let regs = full_regions(patches, |p| ComputeRegion::Grown(1).cell_box(p.cell_box()));
     batched_launch(
         patches,
         stream,
@@ -417,6 +402,7 @@ fn pdv(
         30,
         &regs,
         |_kk, _i, e1, ebox, v, r| {
+            // The predictor time-averages with the start velocities.
             let (u1, v1) = if predict { (v[4], v[6]) } else { (v[5], v[7]) };
             k::pdv_energy(e1, ebox, v[0], v[1], v[2], v[3], v[4], u1, v[6], v1, r, dt_eff, dx);
         },
@@ -437,6 +423,57 @@ fn pdv(
     );
 }
 
+/// Revert density1/energy1 to the start values after the predictor.
+pub(crate) fn revert(patches: &mut [Patch], f: &Fields, stream: &Stream, copy_back: bool) {
+    if copy_back {
+        roundtrip(patches, f, Staged::Revert);
+    }
+    let regs = full_regions(patches, |p| ComputeRegion::Grown(1).cell_box(p.cell_box()));
+    for (dst, src) in [(f.density1, f.density0), (f.energy1, f.energy0)] {
+        batched_launch(
+            patches,
+            stream,
+            "copy-field",
+            Category::HydroKernel,
+            &[dst, src],
+            2,
+            0,
+            &regs,
+            |_kk, _i, d, dbox, v, r| k::copy_field(d, dbox, v[0], r),
+        );
+    }
+}
+
+/// Nodal acceleration of both velocity components.
+pub(crate) fn accelerate(
+    patches: &mut [Patch],
+    f: &Fields,
+    stream: &Stream,
+    copy_back: bool,
+    dx: (f64, f64),
+    dt: f64,
+) {
+    if copy_back {
+        roundtrip(patches, f, Staged::Accelerate);
+    }
+    let regs = full_regions(patches, |p| Centring::Node.data_box(p.cell_box()));
+    for (axis, (v1, v0)) in [(0usize, (f.xvel1, f.xvel0)), (1, (f.yvel1, f.yvel0))] {
+        batched_launch(
+            patches,
+            stream,
+            "accelerate",
+            Category::HydroKernel,
+            &[v1, v0, f.density0, f.pressure, f.viscosity],
+            5,
+            20,
+            &regs,
+            |_kk, _i, out, nbox, v, r| {
+                k::accelerate(out, nbox, v[0], v[1], v[2], v[3], r, dt, dx, axis);
+            },
+        );
+    }
+}
+
 /// Volume fluxes — the compute half of the `post-accel` overlap window.
 /// Kernel ordinals 1–2.
 pub(crate) fn flux_calc(
@@ -449,7 +486,7 @@ pub(crate) fn flux_calc(
     dt: f64,
 ) {
     if copy_back && pass != Pass::Boundary {
-        roundtrip(patches.iter_mut(), f, Staged::FluxCalc);
+        roundtrip(patches, f, Staged::FluxCalc);
     }
     for (ordinal, (axis, (flux, v0, v1))) in
         [(0usize, (f.vol_flux_x, f.xvel0, f.xvel1)), (1, (f.vol_flux_y, f.yvel0, f.yvel1))]
@@ -488,7 +525,7 @@ pub(crate) struct CellStash {
 /// the interior pass: no in-window kernel before the capture writes the
 /// velocities, and the concurrent fills never fill them.
 pub(crate) struct MomStash {
-    old: Vec<DeviceBuffer<f64>>,
+    old: [Option<DeviceBuffer<f64>>; 2],
     vbox: GBox,
 }
 
@@ -509,7 +546,7 @@ pub(crate) fn advec_cell(
     let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
     let vol_flux = if dir == 0 { f.vol_flux_x } else { f.vol_flux_y };
     if copy_back && pass != Pass::Boundary {
-        roundtrip(patches.iter_mut(), f, Staged::AdvecCell { dir });
+        roundtrip(patches, f, Staged::AdvecCell { dir });
     }
     let ghost = |p: &Patch| ComputeRegion::GhostBox.cell_box(p.cell_box());
     let regs = regions_for(patches, pass, 1, Centring::Cell, ghost);
@@ -675,7 +712,7 @@ pub(crate) fn advec_mom(
 ) {
     let mass_flux = if dir == 0 { f.mass_flux_x } else { f.mass_flux_y };
     if copy_back && pass != Pass::Boundary {
-        roundtrip(patches.iter_mut(), f, Staged::AdvecMom { dir });
+        roundtrip(patches, f, Staged::AdvecMom { dir });
     }
     let node_region = |p: &Patch| Centring::Node.data_box(p.cell_box().grow(IntVector::ONE));
     let regs = regions_for(patches, pass, 1, Centring::Node, node_region);
@@ -718,7 +755,7 @@ pub(crate) fn advec_mom(
         stash.clear();
         for p in patches.iter() {
             let vbox = dev(p.data(f.xvel1)).data_box();
-            stash.push(MomStash { old: Vec::new(), vbox });
+            stash.push(MomStash { old: [None, None], vbox });
         }
     }
     for (vi, vel) in [f.xvel1, f.yvel1].into_iter().enumerate() {
@@ -742,14 +779,15 @@ pub(crate) fn advec_mom(
             let total: i64 = stash.iter().map(|s| s.vbox.num_cells()).sum();
             for (i, p) in patches.iter().enumerate() {
                 let v1 = dev(p.data(vel));
-                stash[i].old.push(device.alloc::<f64>(v1.buffer().len()));
+                stash[i].old[vi] = Some(device.alloc::<f64>(v1.buffer().len()));
             }
             stream.submit();
             let shape = KernelShape::streaming(total, 2, 0);
             device.launch_named(stream, "mom-save-vel", Category::HydroKernel, shape, |kk| {
                 for (i, p) in patches.iter().enumerate() {
                     let v1 = dev(p.data(vel));
-                    stash[i].old[vi].as_mut_slice(&kk).copy_from_slice(v1.buffer().as_slice(&kk));
+                    let old = stash[i].old[vi].as_mut().expect("staged velocity");
+                    old.as_mut_slice(&kk).copy_from_slice(v1.buffer().as_slice(&kk));
                 }
             });
         }
@@ -767,10 +805,16 @@ pub(crate) fn advec_mom(
             &regs,
             |kk, i, out, obox, v, r| {
                 let st = &stash[i];
-                let v_old = k::View::new(st.old[vi].as_slice(kk), st.vbox);
+                let old = st.old[vi].as_ref().expect("staged velocity");
+                let v_old = k::View::new(old.as_slice(kk), st.vbox);
                 k::mom_vel_update(out, obox, v_old, v[0], v[1], v[2], r, dir);
             },
         );
+        if pass == Pass::Full {
+            // Free the copy once its update ran: a full pass holds one
+            // staged velocity per patch at a time.
+            stash.iter_mut().for_each(|s| s.old[vi] = None);
+        }
     }
     if pass != Pass::Interior {
         stash.clear();
@@ -780,7 +824,7 @@ pub(crate) fn advec_mom(
 /// End-of-step field reset: four full-region batched copies.
 pub(crate) fn reset(patches: &mut [Patch], f: &Fields, stream: &Stream, copy_back: bool) {
     if copy_back {
-        roundtrip(patches.iter_mut(), f, Staged::Reset);
+        roundtrip(patches, f, Staged::Reset);
     }
     for (dst, src, node) in [
         (f.density0, f.density1, false),
@@ -788,7 +832,7 @@ pub(crate) fn reset(patches: &mut [Patch], f: &Fields, stream: &Stream, copy_bac
         (f.xvel0, f.xvel1, true),
         (f.yvel0, f.yvel1, true),
     ] {
-        let regs = regions_for(patches, Pass::Full, 1, Centring::Cell, |p| {
+        let regs = full_regions(patches, |p| {
             if node {
                 Centring::Node.data_box(p.cell_box())
             } else {

@@ -24,10 +24,10 @@ use rbamr_amr::regrid::TransferSpec;
 use rbamr_amr::restart::RestoreError;
 use rbamr_amr::schedule::{CoarsenSpec, FillSpec};
 use rbamr_amr::{
-    balance, try_partition_hierarchy_metadata, BuildStrategy, CoarsenSchedule, GridGeometry,
-    HostDataFactory, MetadataMode, PatchHierarchy, RefineOperator, RefineSchedule, RegridError,
-    RegridOutcome, RegridParams, Regridder, ScheduleBuild, ScheduleCache, ScheduleError,
-    VariableId, VariableRegistry,
+    balance, try_partition_hierarchy_metadata, CoarsenSchedule, GridGeometry, HostDataFactory,
+    MetadataMode, PatchHierarchy, RefineOperator, RefineSchedule, RegridError, RegridOutcome,
+    RegridParams, Regridder, ScheduleBuild, ScheduleCache, ScheduleError, VariableId,
+    VariableRegistry,
 };
 use rbamr_device::{Device, Stream};
 use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
@@ -301,7 +301,7 @@ impl LevelSchedules {
 }
 
 /// A kernel group of the step program: [`PatchIntegrator`] calls per
-/// patch, or the matching [`crate::batched`] group function per level.
+/// patch, or the matching [`crate::batched`] functions per level.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Group {
     EosViscosity,
@@ -441,10 +441,9 @@ impl HydroSim {
                 clock: clock.clone(),
                 cost: Arc::clone(&cost),
             })),
-            Placement::Device => Box::new(DevicePatchIntegrator::new()),
-            Placement::DeviceCopyBack => {
-                Box::new(crate::copyback_integrator::CopyBackPatchIntegrator::new())
-            }
+            Placement::Device | Placement::DeviceCopyBack => Box::new(DevicePatchIntegrator {
+                copy_back: placement == Placement::DeviceCopyBack,
+            }),
         };
 
         let geometry = GridGeometry {
@@ -618,16 +617,14 @@ impl HydroSim {
     /// pay for plan construction.
     fn rebuild_schedules(&mut self) {
         let mut cache = std::mem::take(&mut self.schedule_cache);
+        // Over partitioned metadata the indexed build plans owner-
+        // computes over the held records; plans (and so cache keys) are
+        // digest-identical to the replicated build.
         let mut build = if self.config.schedule_caching {
             ScheduleBuild::with_cache(&mut cache)
         } else {
             ScheduleBuild::indexed()
         };
-        if self.config.metadata_mode == MetadataMode::Partitioned {
-            // Owner-computes planning over the held records; plans (and
-            // so cache keys) are digest-identical to the indexed build.
-            build.strategy = BuildStrategy::Partitioned;
-        }
         let f = &self.fields;
         self.fill_schedules = (0..self.hierarchy.num_levels())
             .map(|l| {
@@ -1105,10 +1102,15 @@ impl HydroSim {
         // The Lagrangian chain and the reset have no fill, so never split.
         match group {
             Group::EosViscosity => {
-                batched::eos_viscosity(patches, &f, stream, copy_back, pass, gamma, dx);
+                batched::ideal_gas(patches, &f, stream, copy_back, pass, gamma, false);
+                batched::viscosity(patches, &f, stream, copy_back, pass, dx);
             }
             Group::LagrangianPre => {
-                batched::lagrangian_pre(patches, &f, stream, copy_back, gamma, dx, dt);
+                batched::pdv(patches, &f, stream, copy_back, dx, dt, true);
+                batched::ideal_gas(patches, &f, stream, copy_back, Pass::Full, gamma, true);
+                batched::revert(patches, &f, stream, copy_back);
+                batched::accelerate(patches, &f, stream, copy_back, dx, dt);
+                batched::pdv(patches, &f, stream, copy_back, dx, dt, false);
             }
             Group::FluxCalc => batched::flux_calc(patches, &f, stream, copy_back, pass, dx, dt),
             Group::AdvecCell(sweep) => {

@@ -6,7 +6,9 @@
 //! integrators behind the [`PatchIntegrator`] trait — the paper's
 //! Figure 6 structure, where the hierarchy/level drivers are oblivious
 //! to whether a patch advances on the CPU ([`HostPatchIntegrator`]) or
-//! on the resident GPU ([`DevicePatchIntegrator`]).
+//! on the resident GPU ([`DevicePatchIntegrator`]). The device kernels
+//! are wired once, in [`batched`]: the per-patch device build launches
+//! them on one-patch batches, the batched build on whole levels.
 //!
 //! The timestep follows CloverLeaf's `hydro` loop — EOS, viscosity and
 //! the dt reduction (the only global reduction), the Lagrangian phase,
@@ -29,7 +31,6 @@
 pub mod batched;
 pub mod boundary;
 pub mod checkpoint;
-pub mod copyback_integrator;
 pub mod device_integrator;
 pub mod host_integrator;
 pub mod integrator;
@@ -39,7 +40,6 @@ pub mod resilience;
 pub mod state;
 
 pub use boundary::ReflectiveBoundary;
-pub use copyback_integrator::CopyBackPatchIntegrator;
 pub use device_integrator::DevicePatchIntegrator;
 pub use host_integrator::HostPatchIntegrator;
 pub use integrator::{HydroConfig, HydroSim, Placement, SimError, StepStats};

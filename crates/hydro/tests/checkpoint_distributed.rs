@@ -22,7 +22,12 @@ fn sod_regions() -> Vec<RegionInit> {
     ]
 }
 
-fn build_at(mode: MetadataMode, clock: rbamr_perfmodel::Clock, rank: usize, nranks: usize) -> HydroSim {
+fn build_at(
+    mode: MetadataMode,
+    clock: rbamr_perfmodel::Clock,
+    rank: usize,
+    nranks: usize,
+) -> HydroSim {
     let mut config = HydroConfig {
         regrid_interval: 5,
         max_patch_size: 8,
@@ -143,9 +148,7 @@ fn shrink_restore(mode: MetadataMode) {
 
     // Restore the 2-rank checkpoint into a 1-rank simulation.
     let mut restored = build_at(mode, rbamr_perfmodel::Clock::new(), 0, 1);
-    restored
-        .try_restore_checkpoint(&ckpt, None)
-        .expect("a 2-rank manifest restores at 1 rank");
+    restored.try_restore_checkpoint(&ckpt, None).expect("a 2-rank manifest restores at 1 rank");
     assert_eq!(restored.steps_taken(), fresh.steps_taken());
 
     // Digests straight after restore are not compared (re-priming
@@ -175,12 +178,7 @@ fn partitioned_two_rank_checkpoint_restores_at_one_rank() {
 
 /// Per-rank digests of `steps` further steps, starting either from a
 /// fresh `m`-rank initialisation or from `ckpt` restored at `m` ranks.
-fn trajectory(
-    mode: MetadataMode,
-    m: usize,
-    ckpt: Option<Vec<u8>>,
-    steps: usize,
-) -> Vec<Vec<u64>> {
+fn trajectory(mode: MetadataMode, m: usize, ckpt: Option<Vec<u8>>, steps: usize) -> Vec<Vec<u64>> {
     use rbamr_amr::restart::Database;
 
     Cluster::new(Machine::ipa_cpu_node())

@@ -1,8 +1,12 @@
 //! Per-phase host/device equivalence: every method of the
 //! [`PatchIntegrator`] trait must produce bit-identical results on the
-//! CPU baseline and the GPU-resident build, starting from identical
-//! random patch states. End-to-end equivalence is covered elsewhere;
-//! these tests localise a divergence to the exact phase that caused it.
+//! CPU baseline and the device build, starting from identical random
+//! patch states. The device step phases are the batched kernel wiring
+//! run on a one-patch batch, so these tests check that wiring directly
+//! against the host reference. Each step phase runs on the device both
+//! resident and with `copy_back`, which must also move the staged
+//! arrays over PCIe. End-to-end equivalence is covered elsewhere; these
+//! tests localise a divergence to the exact phase that caused it.
 
 use rand::{Rng, SeedableRng};
 use rbamr_amr::patch::PatchId;
@@ -73,13 +77,29 @@ fn assert_all_fields_equal(host: &Patch, dev: &Patch, nvars: usize, phase: &str)
     }
 }
 
-fn check_phase(seed: u64, phase: &str, run: impl Fn(&dyn PatchIntegrator, &mut Patch, &Fields)) {
-    let (mut hp, hf, mut dp, df, _device) = matched_patches(seed);
-    let host = HostPatchIntegrator::new();
-    let dev = DevicePatchIntegrator::new();
-    run(&host, &mut hp, &hf);
-    run(&dev, &mut dp, &df);
+/// Run one phase on matched host and device patches and compare every
+/// field; returns the D2H bytes the phase itself moved.
+fn run_phase(
+    seed: u64,
+    phase: &str,
+    copy_back: bool,
+    run: &impl Fn(&dyn PatchIntegrator, &mut Patch, &Fields),
+) -> u64 {
+    let (mut hp, hf, mut dp, df, device) = matched_patches(seed);
+    run(&HostPatchIntegrator::new(), &mut hp, &hf);
+    run(&DevicePatchIntegrator { copy_back }, &mut dp, &df);
+    // Read the transfer count before the comparison downloads.
+    let d2h = device.stats().d2h_bytes;
     assert_all_fields_equal(&hp, &dp, 22, phase);
+    d2h
+}
+
+/// A step phase matches the host resident and with copy-back; only the
+/// copy-back run moves data to the host.
+fn check_phase(seed: u64, phase: &str, run: impl Fn(&dyn PatchIntegrator, &mut Patch, &Fields)) {
+    assert_eq!(run_phase(seed, phase, false, &run), 0, "{phase}: resident run left the device");
+    let d2h = run_phase(seed, &format!("{phase} (copy-back)"), true, &run);
+    assert!(d2h > 0, "{phase}: copy-back run moved no D2H bytes");
 }
 
 #[test]
@@ -95,13 +115,16 @@ fn viscosity_phase_matches() {
 
 #[test]
 fn calc_dt_matches() {
-    let (mut hp, hf, mut dp, df, _device) = matched_patches(31);
-    let host = HostPatchIntegrator::new();
-    let dev = DevicePatchIntegrator::new();
-    let a = host.calc_dt(&mut hp, &hf, DX, 0.5);
-    let b = dev.calc_dt(&mut dp, &df, DX, 0.5);
-    assert_eq!(a, b, "dt reductions diverge");
-    assert!(a.is_finite() && a > 0.0);
+    for copy_back in [false, true] {
+        let (mut hp, hf, mut dp, df, device) = matched_patches(31);
+        let a = HostPatchIntegrator::new().calc_dt(&mut hp, &hf, DX, 0.5);
+        let b = DevicePatchIntegrator { copy_back }.calc_dt(&mut dp, &df, DX, 0.5);
+        assert_eq!(a, b, "dt reductions diverge (copy_back {copy_back})");
+        assert!(a.is_finite() && a > 0.0);
+        // Resident, only the 8-byte minimum crosses PCIe.
+        let d2h = device.stats().d2h_bytes;
+        assert!(if copy_back { d2h > 8 } else { d2h == 8 }, "copy_back {copy_back}: {d2h} B D2H");
+    }
 }
 
 #[test]

@@ -112,7 +112,7 @@ impl Cluster {
 
     /// Select the collective algorithm policy (default
     /// [`CollectiveAlgo::RecursiveDoubling`]). Overridable at runtime
-    /// via `RBAMR_NETSIM_COLLECTIVES=flat|rd|tree` for A/B comparisons
+    /// via `RBAMR_NETSIM_COLLECTIVES=flat|rd` for A/B comparisons
     /// without recompiling; equivalence tests pin
     /// [`CollectiveAlgo::Flat`] as the oracle.
     pub fn with_collectives(mut self, algo: CollectiveAlgo) -> Self {

@@ -13,13 +13,9 @@
 //!   allgatherv run a recursive-doubling butterfly (⌈log₂N⌉ rounds,
 //!   O(N·log N) frames job-wide); rooted gather/broadcast run a
 //!   binomial tree (N−1 frames, log-depth critical path).
-//! * [`CollectiveAlgo::RootedTree`] — everything is rooted: reductions
-//!   reduce up a binomial tree to rank 0 and broadcast the agreed
-//!   result back down; allgatherv is a tree gather followed by a tree
-//!   broadcast of the assembled segment blob.
 //!
 //! Selected per [`crate::Cluster`] via the `RBAMR_NETSIM_COLLECTIVES`
-//! env knob (`flat` / `rd` / `tree`) or
+//! env knob (`flat` / `rd`) or
 //! [`crate::Cluster::with_collectives`].
 //!
 //! Frame complexity per allgatherv at N ranks:
@@ -28,13 +24,12 @@
 //! |---------------------|--------------|---------------|
 //! | `Flat`              | N·(N−1)      | 1             |
 //! | `RecursiveDoubling` | ≈ N·⌈log₂N⌉  | ⌈log₂N⌉       |
-//! | `RootedTree`        | 2·(N−1)      | 2·⌈log₂N⌉     |
 //!
 //! # Fault discipline
 //!
 //! Reduction-shaped collectives consult the fault injector once per
 //! call (`CollectiveFault`), exactly like the rendezvous path; their
-//! internal butterfly/tree frames bypass the wire-fault injector (a
+//! internal butterfly frames bypass the wire-fault injector (a
 //! rendezvous reduce has no frames to drop either) and instead carry a
 //! taint byte OR-ed through the exchange, so an injected fault still
 //! surfaces as the same [`CommError::CollectiveFault`] on every rank.
@@ -58,8 +53,6 @@ pub enum CollectiveAlgo {
     /// binomial tree for rooted gather/broadcast.
     #[default]
     RecursiveDoubling,
-    /// Binomial trees rooted at rank 0 for everything.
-    RootedTree,
 }
 
 impl CollectiveAlgo {
@@ -68,7 +61,6 @@ impl CollectiveAlgo {
         match s.to_ascii_lowercase().as_str() {
             "flat" => Some(Self::Flat),
             "rd" | "recursive-doubling" | "log" | "log-depth" => Some(Self::RecursiveDoubling),
-            "tree" | "rooted-tree" => Some(Self::RootedTree),
             _ => None,
         }
     }
@@ -270,7 +262,7 @@ fn tree_children(rank: usize, root: usize, n: usize) -> Vec<usize> {
 
 /// Reduce frame: `[flags u8][3 × u64 LE]` (25 bytes). Flag bit 0 is
 /// the injected-fault taint, bit 1 the dead-rank revocation taint —
-/// both OR-ed through the butterfly/tree exchange so they surface
+/// both OR-ed through the butterfly exchange so they surface
 /// symmetrically on every surviving rank.
 fn encode_reduce(taint: bool, revoked: bool, words: [u64; 3]) -> Bytes {
     let mut v = Vec::with_capacity(25);
@@ -409,66 +401,6 @@ pub(crate) fn rd_reduce(
     }
     if rank < extras {
         comm.send_exempt(rank + p, tag, encode_reduce(taint, revoked, acc));
-    }
-    finish_reduce(spec.name, taint, revoked, acc)
-}
-
-/// Rooted-tree allreduce: reduce up a binomial tree to rank 0, then
-/// broadcast the root's result (and aggregate taint) back down —
-/// trivially agreed since one rank computed it.
-pub(crate) fn tree_reduce(
-    comm: &Comm,
-    spec: ReduceSpec,
-    words: [u64; 3],
-    injected: bool,
-    category: Category,
-) -> Result<[u64; 3], CommError> {
-    let n = comm.size();
-    let rank = comm.rank();
-    let up = comm.next_collective_tag();
-    let down = comm.next_collective_tag();
-    let mut taint = injected;
-    let mut revoked = false;
-    let mut acc = words;
-    let children = tree_children(rank, 0, n);
-    // Dead-rank discipline: a dead child severs its up edge (the
-    // parent's partial is revoked, and the bit rides up to the root and
-    // back down); a dead parent severs the down edge (this subtree
-    // keeps its local partial, revoked). Either way every survivor
-    // reports Revoked — no rank hangs, no two ranks return different
-    // Ok values.
-    for &c in &children {
-        match comm.recv_exempt(c, up, category) {
-            Ok(frame) => {
-                let (t, rv, w) = decode_reduce(&frame);
-                taint |= t;
-                revoked |= rv;
-                (spec.combine)(&mut acc, w);
-            }
-            Err(CommError::RankDead { .. }) => revoked = true,
-            Err(e) => return Err(e),
-        }
-    }
-    if rank != 0 {
-        let parent = tree_parent(rank, 0, n);
-        comm.send_exempt(parent, up, encode_reduce(taint, revoked, acc));
-        // The root's answer supersedes the local partial (its taint
-        // already includes ours, which went up with the partial) —
-        // unless the parent died, in which case the local partial
-        // stands, revoked.
-        match comm.recv_exempt(parent, down, category) {
-            Ok(frame) => {
-                let (t, rv, w) = decode_reduce(&frame);
-                taint = t;
-                revoked |= rv;
-                acc = w;
-            }
-            Err(CommError::RankDead { .. }) => revoked = true,
-            Err(e) => return Err(e),
-        }
-    }
-    for &c in &children {
-        comm.send_exempt(c, down, encode_reduce(taint, revoked, acc));
     }
     finish_reduce(spec.name, taint, revoked, acc)
 }
@@ -666,62 +598,6 @@ pub(crate) fn rd_allgatherv(
     }
     if rank < extras {
         comm.send(rank + p, tag, encode_segments(taint, &held_segments(&parts)));
-    }
-    finish_allgatherv(comm, parts, taint, first_err)
-}
-
-/// Tree allgatherv: gather the per-rank segments up a binomial tree to
-/// rank 0, then broadcast the assembled blob back down — 2·(N−1)
-/// frames job-wide.
-pub(crate) fn tree_allgatherv(
-    comm: &Comm,
-    payload: Bytes,
-    category: Category,
-) -> Result<Vec<Bytes>, CommError> {
-    let n = comm.size();
-    let rank = comm.rank();
-    let up = comm.next_collective_tag();
-    let down = comm.next_collective_tag();
-    let root = 0usize;
-    let mut taint = false;
-    let mut first_err = None;
-    let mut segments: Vec<(usize, Bytes)> = vec![(rank, payload)];
-    for c in tree_children(rank, root, n) {
-        match comm.try_recv(c, up, category) {
-            Ok(frame) => {
-                let (t, segs) = decode_segments(&frame);
-                taint |= t;
-                segments.extend(segs);
-            }
-            Err(e) => {
-                taint = true;
-                first_err.get_or_insert(e);
-            }
-        }
-    }
-    if rank != root {
-        comm.send(tree_parent(rank, root, n), up, encode_segments(taint, &segments));
-    }
-    let blob = if rank == root {
-        encode_segments(taint, &segments)
-    } else {
-        match comm.try_recv(tree_parent(rank, root, n), down, category) {
-            Ok(frame) => frame,
-            Err(e) => {
-                taint = true;
-                first_err.get_or_insert(e);
-                encode_segments(true, &[])
-            }
-        }
-    };
-    for c in tree_children(rank, root, n) {
-        comm.send(c, down, blob.clone());
-    }
-    let mut parts: Vec<Option<Bytes>> = vec![None; n];
-    let (t, segs) = decode_segments(&blob);
-    taint |= t;
-    for (r, b) in segs {
-        parts[r] = Some(b);
     }
     finish_allgatherv(comm, parts, taint, first_err)
 }

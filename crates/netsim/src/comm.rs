@@ -350,12 +350,12 @@ pub struct Comm {
     /// Engine-level operations (frames, rendezvous, liveness) always
     /// speak physical ids; the application-facing [`Comm::rank`] /
     /// [`Comm::size`] speak the logical (post-shrink) numbering.
-    rank: usize,
+    physical_rank: usize,
     /// Logical→physical rank translation after a shrink: `view[l]` is
     /// the physical id of logical rank `l`. `None` until the first
     /// [`Comm::shrink`] (identity mapping).
     view: Option<Arc<Vec<usize>>>,
-    /// This rank's logical id (`== rank` until the first shrink).
+    /// This rank's logical id (`== physical_rank` until the first shrink).
     logical_rank: usize,
     shared: Arc<Shared>,
     clock: Clock,
@@ -414,7 +414,7 @@ impl Comm {
         algo: CollectiveAlgo,
     ) -> Self {
         Self {
-            rank,
+            physical_rank: rank,
             view: None,
             logical_rank: rank,
             shared,
@@ -539,7 +539,7 @@ impl Comm {
     /// it. The dying rank's closure should return promptly after
     /// calling this; its remaining sends are black-holed.
     pub fn mark_dead(&self) {
-        self.shared.mark_dead(self.rank);
+        self.shared.mark_dead(self.physical_rank);
     }
 
     /// All physical ranks declared permanently dead so far (ascending).
@@ -567,14 +567,14 @@ impl Comm {
     /// # Panics
     /// Panics with a [`PeerPanicked`] payload if the job is poisoned.
     pub fn shrink(&self) -> Result<Comm, CommError> {
-        if self.shared.is_dead(self.rank) {
-            return Err(CommError::RankDead { rank: self.rank });
+        if self.shared.is_dead(self.physical_rank) {
+            return Err(CommError::RankDead { rank: self.physical_rank });
         }
         let words = [
             self.collective_seq.load(std::sync::atomic::Ordering::Relaxed),
             self.rendezvous_seq.load(std::sync::atomic::Ordering::Relaxed),
         ];
-        let aligned = match self.shared.shrink_align(self.rank, words) {
+        let aligned = match self.shared.shrink_align(self.physical_rank, words) {
             Ok(w) => w,
             Err(p) => std::panic::panic_any(p),
         };
@@ -583,15 +583,14 @@ impl Comm {
         // survivor derives the same view even when a second death lands
         // while the first is being agreed on.
         let dead = self.shared.dead_ranks();
-        let survivors: Vec<usize> =
-            (0..self.shared.size).filter(|r| !dead.contains(r)).collect();
+        let survivors: Vec<usize> = (0..self.shared.size).filter(|r| !dead.contains(r)).collect();
         let logical_rank = survivors
             .iter()
-            .position(|&r| r == self.rank)
+            .position(|&r| r == self.physical_rank)
             .expect("live rank must appear in the survivor set");
         self.recorder.count("net.shrinks", 1);
         Ok(Comm {
-            rank: self.rank,
+            physical_rank: self.physical_rank,
             view: Some(Arc::new(survivors)),
             logical_rank,
             shared: Arc::clone(&self.shared),
@@ -697,7 +696,7 @@ impl Comm {
     fn send_inner(&self, dst: usize, tag: u64, payload: Bytes, exempt: bool) {
         assert!(dst < self.size(), "send: rank {dst} out of range");
         let dst = self.physical(dst);
-        assert_ne!(dst, self.rank, "send: rank {} sent to itself", self.logical_rank);
+        assert_ne!(dst, self.physical_rank, "send: rank {} sent to itself", self.logical_rank);
         self.count_message(true, tag, payload.len() as u64);
         if self.recorder.is_enabled() {
             let occ = next_occurrence(&self.send_seq, dst, tag);
@@ -707,7 +706,7 @@ impl Comm {
         let mut framed = Vec::with_capacity(body.len() + 1);
         framed.push(flag);
         framed.extend_from_slice(&body);
-        if let Err(p) = self.shared.push_frame(self.rank, dst, tag, Bytes::from(framed)) {
+        if let Err(p) = self.shared.push_frame(self.physical_rank, dst, tag, Bytes::from(framed)) {
             std::panic::panic_any(p);
         }
     }
@@ -754,8 +753,12 @@ impl Comm {
         assert!(src < self.size(), "recv: rank {src} out of range");
         let logical_src = src;
         let src = self.physical(src);
-        assert_ne!(src, self.rank, "recv: rank {} received from itself", self.logical_rank);
-        let frame = match self.shared.pop_frame(self.rank, src, tag, category) {
+        assert_ne!(
+            src, self.physical_rank,
+            "recv: rank {} received from itself",
+            self.logical_rank
+        );
+        let frame = match self.shared.pop_frame(self.physical_rank, src, tag, category) {
             Ok(frame) => frame,
             Err(Fail::Poisoned(p)) => return Err(CommError::PeerPanicked { origin: p.origin }),
             Err(Fail::Dead { rank }) => {
@@ -843,9 +846,6 @@ impl Comm {
                     CollectiveAlgo::RecursiveDoubling => {
                         collectives::rd_allgatherv(self, payload, category)
                     }
-                    CollectiveAlgo::RootedTree => {
-                        collectives::tree_allgatherv(self, payload, category)
-                    }
                 }
                 .map(CollectiveOutput::Gathered)
             }
@@ -922,7 +922,7 @@ impl Comm {
         }
         if rendezvous {
             let (result, result_fault, result_revoked) = match self.shared.rendezvous(
-                self.rank,
+                self.physical_rank,
                 name,
                 category,
                 words,
@@ -942,15 +942,8 @@ impl Comm {
                 Ok(result)
             };
         }
-        match self.algo {
-            CollectiveAlgo::RecursiveDoubling => {
-                collectives::rd_reduce(self, spec, words, injected.is_some(), category)
-            }
-            CollectiveAlgo::RootedTree => {
-                collectives::tree_reduce(self, spec, words, injected.is_some(), category)
-            }
-            CollectiveAlgo::Flat => unreachable!("flat reduces take the rendezvous path"),
-        }
+        // Flat reduces took the rendezvous path above.
+        collectives::rd_reduce(self, spec, words, injected.is_some(), category)
     }
 
     fn reduce_f64(&self, spec: ReduceSpec, v: f64, category: Category) -> f64 {

@@ -23,8 +23,8 @@
 //! bitwise-identical results, causal edge streams, and virtual clocks.
 //!
 //! Collectives are *algorithms* selected through [`collectives`]: the
-//! log-depth default (recursive doubling, with a rooted binomial tree
-//! and the flat O(N²) oracle as alternatives — see
+//! log-depth default (recursive doubling, with the flat O(N²) oracle
+//! as the alternative — see
 //! [`CollectiveAlgo`]), all reachable through the unified
 //! [`Comm::collective`] entry point that the named wrappers delegate
 //! to.

@@ -388,8 +388,7 @@ impl Scheduler {
             if st.dead[src] {
                 return Err(Fail::Dead { rank: src });
             }
-            self.block(&mut st, rank, Wait::Recv { src, tag, category })
-                .map_err(Fail::Poisoned)?;
+            self.block(&mut st, rank, Wait::Recv { src, tag, category }).map_err(Fail::Poisoned)?;
         }
     }
 

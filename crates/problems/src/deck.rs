@@ -100,7 +100,10 @@ struct StateSpec {
 /// Parse a deck from text.
 ///
 /// # Errors
-/// Returns a [`DeckError`] describing the first problem found.
+/// Returns a [`DeckError`] describing the first problem found, among
+/// them [`DeckError::BadValue`] for a scalar out of range: fewer than
+/// one cell or level, a negative `end_step`, or an empty or non-finite
+/// domain extent.
 pub fn parse_deck(text: &str) -> Result<Deck, DeckError> {
     let mut in_block = false;
     let mut saw_block = false;
@@ -181,17 +184,20 @@ pub fn parse_deck(text: &str) -> Result<Deck, DeckError> {
                 return Err(DeckError::BadLine(line.into()));
             };
             let fval = || v.parse::<f64>().map_err(|_| DeckError::BadValue(k.into(), v.into()));
-            let ival = || v.parse::<i64>().map_err(|_| DeckError::BadValue(k.into(), v.into()));
+            let at_least = |min: i64| match v.parse::<i64>() {
+                Ok(n) if n >= min => Ok(n),
+                _ => Err(DeckError::BadValue(k.into(), v.into())),
+            };
             match k {
-                "x_cells" => x_cells = ival()?,
-                "y_cells" => y_cells = ival()?,
+                "x_cells" => x_cells = at_least(1)?,
+                "y_cells" => y_cells = at_least(1)?,
                 "xmin" => xmin = fval()?,
                 "xmax" => xmax = fval()?,
                 "ymin" => ymin = fval()?,
                 "ymax" => ymax = fval()?,
-                "max_levels" => max_levels = ival()? as usize,
+                "max_levels" => max_levels = at_least(1)? as usize,
                 "end_time" => end_time = Some(fval()?),
-                "end_step" => end_step = Some(ival()? as usize),
+                "end_step" => end_step = Some(at_least(0)? as usize),
                 "metadata_mode" => {
                     metadata_mode = match v.to_ascii_lowercase().as_str() {
                         "replicated" => MetadataMode::Replicated,
@@ -229,6 +235,11 @@ pub fn parse_deck(text: &str) -> Result<Deck, DeckError> {
     states.sort_by_key(|(i, _)| *i);
 
     let extent = (xmax - xmin, ymax - ymin);
+    for (axis, lo, hi, len) in [("x", xmin, xmax, extent.0), ("y", ymin, ymax, extent.1)] {
+        if !(len > 0.0 && len.is_finite()) {
+            return Err(DeckError::BadValue(format!("{axis}min/{axis}max"), format!("{lo}/{hi}")));
+        }
+    }
     let mut regions = Vec::new();
     for (idx, s) in &states {
         let rect = if *idx == 1 {
@@ -345,6 +356,29 @@ mod tests {
             parse_deck(&text("sharded")),
             Err(DeckError::BadValue("metadata_mode".into(), "sharded".into()))
         );
+    }
+
+    #[test]
+    fn out_of_range_scalars_are_rejected() {
+        for (kv, key) in [
+            ("max_levels=-1", "max_levels"),
+            ("max_levels=0", "max_levels"),
+            ("end_step=-1", "end_step"),
+            ("x_cells=0", "x_cells"),
+            ("y_cells=0", "y_cells"),
+            ("x_cells=-8", "x_cells"),
+            ("xmax=0.0", "xmin/xmax"),
+            ("xmin=2.0", "xmin/xmax"),
+            ("ymax=-1.0", "ymin/ymax"),
+            ("ymin=1.0", "ymin/ymax"),
+            ("xmax=nan", "xmin/xmax"),
+        ] {
+            let text = format!("*clover\n state 1 density=1.0 energy=1.0\n {kv}\n*endclover\n");
+            match parse_deck(&text) {
+                Err(DeckError::BadValue(k, _)) if k == key => {}
+                other => panic!("{kv}: expected a bad {key}, got {other:?}"),
+            }
+        }
     }
 
     #[test]
