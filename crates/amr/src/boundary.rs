@@ -28,51 +28,6 @@ pub trait PhysicalBoundary: Send + Sync {
     );
 }
 
-/// Which face of the domain a ghost box hangs off, with outward normal
-/// along the given axis. Corner boxes resolve to one axis at a time;
-/// fills run per-axis so corners end up with the diagonally mirrored
-/// value, matching CloverLeaf's `update_halo` pass ordering.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Face {
-    /// Low side of the axis (outward normal -x or -y).
-    Low(usize),
-    /// High side of the axis (outward normal +x or +y).
-    High(usize),
-}
-
-/// Classify an out-of-domain cell against the domain bounding box.
-/// Returns the face whose violation is largest (corners pick the axis
-/// with the deeper excursion; ties pick x).
-pub fn classify_face(domain: GBox, p: IntVector) -> Option<Face> {
-    let mut best: Option<(i64, Face)> = None;
-    let mut consider = |depth: i64, face: Face| {
-        if depth > 0 && best.is_none_or(|(d, _)| depth > d) {
-            best = Some((depth, face));
-        }
-    };
-    consider(domain.lo.x - p.x, Face::Low(0));
-    consider(p.x - (domain.hi.x - 1), Face::High(0));
-    consider(domain.lo.y - p.y, Face::Low(1));
-    consider(p.y - (domain.hi.y - 1), Face::High(1));
-    best.map(|(_, f)| f)
-}
-
-/// Mirror an out-of-domain cell index across the domain face it hangs
-/// off (the reflective-boundary index map): cell `lo - 1 - k` maps to
-/// `lo + k`, cell `hi + k` maps to `hi - 1 - k`.
-pub fn mirror_index(domain: GBox, p: IntVector) -> IntVector {
-    let reflect = |v: i64, lo: i64, hi: i64| {
-        if v < lo {
-            2 * lo - 1 - v
-        } else if v >= hi {
-            2 * hi - 1 - v
-        } else {
-            v
-        }
-    };
-    IntVector::new(reflect(p.x, domain.lo.x, domain.hi.x), reflect(p.y, domain.lo.y, domain.hi.y))
-}
-
 /// Zero-gradient (outflow) boundary: ghost cells copy the nearest
 /// interior value. Physics-free default used by framework tests.
 pub struct ZeroGradientBoundary;
@@ -122,29 +77,6 @@ mod tests {
 
     fn b(x0: i64, y0: i64, x1: i64, y1: i64) -> GBox {
         GBox::from_coords(x0, y0, x1, y1)
-    }
-
-    #[test]
-    fn face_classification() {
-        let d = b(0, 0, 8, 8);
-        assert_eq!(classify_face(d, IntVector::new(-1, 4)), Some(Face::Low(0)));
-        assert_eq!(classify_face(d, IntVector::new(8, 4)), Some(Face::High(0)));
-        assert_eq!(classify_face(d, IntVector::new(4, -2)), Some(Face::Low(1)));
-        assert_eq!(classify_face(d, IntVector::new(4, 9)), Some(Face::High(1)));
-        assert_eq!(classify_face(d, IntVector::new(4, 4)), None);
-        // Corner: deeper excursion wins.
-        assert_eq!(classify_face(d, IntVector::new(-1, -3)), Some(Face::Low(1)));
-    }
-
-    #[test]
-    fn mirror_indices() {
-        let d = b(0, 0, 8, 8);
-        assert_eq!(mirror_index(d, IntVector::new(-1, 3)), IntVector::new(0, 3));
-        assert_eq!(mirror_index(d, IntVector::new(-2, 3)), IntVector::new(1, 3));
-        assert_eq!(mirror_index(d, IntVector::new(8, 3)), IntVector::new(7, 3));
-        assert_eq!(mirror_index(d, IntVector::new(9, 3)), IntVector::new(6, 3));
-        assert_eq!(mirror_index(d, IntVector::new(-1, -1)), IntVector::new(0, 0));
-        assert_eq!(mirror_index(d, IntVector::new(3, 3)), IntVector::new(3, 3));
     }
 
     #[test]

@@ -1,144 +1,26 @@
 //! Patch levels: all patches at one refinement resolution.
 
-use crate::partition::{finalize_structure_digest, structure_items_digest, LevelView};
+use crate::partition::LevelView;
 use crate::patch::{Patch, PatchId};
 use crate::variable::VariableRegistry;
 use rbamr_geometry::{BoxList, GBox, IntVector};
 
-/// How a level's box metadata is held on this rank.
-enum LevelMetadata {
-    /// The full box/owner arrays, replicated on every rank
-    /// (SAMRAI-style).
-    Replicated { boxes: Vec<GBox>, owners: Vec<usize> },
-    /// Only this rank's owned records plus a ghosted interest
-    /// neighborhood (see [`crate::partition`]).
-    Partitioned { view: LevelView },
-}
-
-/// One refinement level of the hierarchy: the description of its
-/// patches — replicated on every rank (SAMRAI-style) or held as a
-/// partitioned [`LevelView`] — plus the locally owned [`Patch`] objects
-/// with data.
+/// One refinement level of the hierarchy: the level's `(index, box,
+/// owner)` records as a [`LevelView`] — complete under replicated
+/// metadata (SAMRAI-style), the owned + interest neighborhood under
+/// partitioned metadata — plus the locally owned [`Patch`] objects with
+/// data.
 pub struct PatchLevel {
     level_no: usize,
     /// Ratio to the next coarser level (`IntVector::ONE` for level 0).
     ratio: IntVector,
-    metadata: LevelMetadata,
+    /// The level's records as held on this rank; also carries the
+    /// global patch/cell counts and the structure digest.
+    records: LevelView,
     /// The level's index-space domain (the refined physical domain).
     domain: BoxList,
     /// Locally owned patches, carrying data.
     local: Vec<Patch>,
-    /// Digest of the level structure (boxes, owners, ratio, domain),
-    /// computed once at construction. See [`PatchLevel::structure_digest`].
-    structure_digest: u64,
-    /// Number of patches on the level across all ranks.
-    num_global: usize,
-    /// Total cells on the level across all ranks.
-    global_cells: i64,
-}
-
-/// Digest of a level structure: level number, ratio, domain, and the
-/// indexed (box, owner) records combined order-independently. Every rank
-/// computes the identical value from the replicated metadata — the rank
-/// itself is deliberately *not* part of the digest. Split into
-/// [`structure_items_digest`] and [`finalize_structure_digest`] so
-/// per-rank owned partials can be combined to the same value through an
-/// allreduce (the partitioned-metadata handshake).
-fn compute_structure_digest(
-    level_no: usize,
-    ratio: IntVector,
-    boxes: &[GBox],
-    owners: &[usize],
-    domain: &BoxList,
-) -> u64 {
-    let items = structure_items_digest(
-        boxes.iter().zip(owners).enumerate().map(|(index, (&b, &o))| (index, b, o)),
-    );
-    finalize_structure_digest(level_no, ratio, domain, &items)
-}
-
-/// A uniform, borrow-only handle on a level's box records, hiding
-/// whether the metadata is replicated (dense, position == global index)
-/// or a partitioned view (sparse, positions map to ascending global
-/// indices). Schedule and regrid planning iterate records through this
-/// so one code path serves both modes.
-#[derive(Clone, Copy)]
-pub struct LevelRecords<'a> {
-    indices: Option<&'a [usize]>,
-    boxes: &'a [GBox],
-    owners: &'a [usize],
-    num_global: usize,
-}
-
-impl<'a> LevelRecords<'a> {
-    /// Number of records held (== `num_global` only for complete views).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.boxes.len()
-    }
-
-    /// Whether no records are held.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.boxes.is_empty()
-    }
-
-    /// Number of records on the level across all ranks.
-    #[must_use]
-    pub fn num_global(&self) -> usize {
-        self.num_global
-    }
-
-    /// Whether every global record is held.
-    #[must_use]
-    pub fn is_complete(&self) -> bool {
-        self.len() == self.num_global
-    }
-
-    /// The global patch index of the record at `pos`.
-    #[must_use]
-    pub fn global_index(&self, pos: usize) -> usize {
-        self.indices.map_or(pos, |ix| ix[pos])
-    }
-
-    /// The box of the record at `pos`.
-    #[must_use]
-    pub fn box_at(&self, pos: usize) -> GBox {
-        self.boxes[pos]
-    }
-
-    /// The owner rank of the record at `pos`.
-    #[must_use]
-    pub fn owner_at(&self, pos: usize) -> usize {
-        self.owners[pos]
-    }
-
-    /// The held boxes, by position (feed these to a `BoxIndex`; map the
-    /// returned positions back with [`Self::global_index`]).
-    #[must_use]
-    pub fn boxes(&self) -> &'a [GBox] {
-        self.boxes
-    }
-
-    /// Position of a global index, if held.
-    #[must_use]
-    pub fn position_of(&self, global_index: usize) -> Option<usize> {
-        match self.indices {
-            None => (global_index < self.boxes.len()).then_some(global_index),
-            Some(ix) => ix.binary_search(&global_index).ok(),
-        }
-    }
-
-    /// Iterate the held `(global index, box, owner)` records in
-    /// ascending global-index order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, GBox, usize)> + 'a {
-        let indices = self.indices;
-        self.boxes
-            .iter()
-            .zip(self.owners)
-            .enumerate()
-            .map(move |(pos, (&b, &o))| (indices.map_or(pos, |ix| ix[pos]), b, o))
-    }
 }
 
 /// Shared construction-time validation of a set of patch boxes.
@@ -153,8 +35,8 @@ fn validate_boxes(boxes: &[GBox], domain: &BoxList) {
 }
 
 impl PatchLevel {
-    /// Build a level with replicated metadata: allocate data for the
-    /// boxes owned by `my_rank`.
+    /// Build a level holding the complete view of `boxes`/`owners`:
+    /// allocate data for the boxes owned by `my_rank`.
     ///
     /// # Panics
     /// Panics if `boxes` and `owners` disagree in length, any box is
@@ -177,62 +59,13 @@ impl PatchLevel {
             .filter(|(_, (_, &o))| o == my_rank)
             .map(|(index, (&b, &o))| Patch::new(PatchId { level: level_no, index }, b, o, registry))
             .collect();
-        let structure_digest = compute_structure_digest(level_no, ratio, &boxes, &owners, &domain);
-        let num_global = boxes.len();
-        let global_cells = boxes.iter().map(|b| b.num_cells()).sum();
-        Self {
-            level_no,
-            ratio,
-            metadata: LevelMetadata::Replicated { boxes, owners },
-            domain,
-            local,
-            structure_digest,
-            num_global,
-            global_cells,
-        }
+        let records = LevelView::complete(level_no, ratio, &domain, boxes, owners);
+        Self { level_no, ratio, records, domain, local }
     }
 
-    /// Build a level from a verified partitioned [`LevelView`]: data is
-    /// allocated for the view's records owned by `my_rank`. The level's
-    /// structure digest is the view's verified global digest, so
-    /// schedule-cache keys agree with the replicated twin.
-    ///
-    /// # Panics
-    /// Panics if the view's boxes are empty, escape `domain`, or
-    /// overlap, or if the view is global-empty (levels always hold at
-    /// least one patch).
-    pub fn new_partitioned(
-        level_no: usize,
-        ratio: IntVector,
-        view: LevelView,
-        domain: BoxList,
-        my_rank: usize,
-        registry: &VariableRegistry,
-    ) -> Self {
-        assert!(view.num_global() > 0, "PatchLevel: partitioned level with no global patches");
-        validate_boxes(view.boxes(), &domain);
-        let local = view
-            .iter()
-            .filter(|&(_, _, o)| o == my_rank)
-            .map(|(index, b, o)| Patch::new(PatchId { level: level_no, index }, b, o, registry))
-            .collect();
-        let structure_digest = view.global_digest();
-        let num_global = view.num_global();
-        let global_cells = view.global_cells();
-        Self {
-            level_no,
-            ratio,
-            metadata: LevelMetadata::Partitioned { view },
-            domain,
-            local,
-            structure_digest,
-            num_global,
-            global_cells,
-        }
-    }
-
-    /// Convert a replicated level to partitioned metadata in place,
-    /// keeping the local patches (and their data) untouched.
+    /// Replace the level's records with `view` (a partitioned view of
+    /// the same structure), keeping the local patches (and their data)
+    /// untouched.
     ///
     /// # Panics
     /// Panics if the view describes a different structure (digest
@@ -240,29 +73,14 @@ impl PatchLevel {
     pub fn adopt_view(&mut self, view: LevelView, my_rank: usize) {
         assert_eq!(
             view.global_digest(),
-            self.structure_digest,
+            self.records.global_digest(),
             "adopt_view: view describes a different structure than the level"
         );
         let owned: Vec<usize> =
             view.iter().filter(|&(_, _, o)| o == my_rank).map(|(i, _, _)| i).collect();
         let local: Vec<usize> = self.local.iter().map(|p| p.id().index).collect();
         assert_eq!(owned, local, "adopt_view: view owned set differs from local patches");
-        self.metadata = LevelMetadata::Partitioned { view };
-    }
-
-    /// The partitioned view, if this level holds one.
-    #[must_use]
-    pub fn view(&self) -> Option<&LevelView> {
-        match &self.metadata {
-            LevelMetadata::Replicated { .. } => None,
-            LevelMetadata::Partitioned { view } => Some(view),
-        }
-    }
-
-    /// Whether this level holds partitioned metadata.
-    #[must_use]
-    pub fn is_partitioned(&self) -> bool {
-        matches!(self.metadata, LevelMetadata::Partitioned { .. })
+        self.records = view;
     }
 
     /// The level number (0 = coarsest).
@@ -284,115 +102,81 @@ impl PatchLevel {
     /// replicated metadata, the owned + interest neighborhood for a
     /// partitioned view.
     #[must_use]
-    pub fn records(&self) -> LevelRecords<'_> {
-        match &self.metadata {
-            LevelMetadata::Replicated { boxes, owners } => {
-                LevelRecords { indices: None, boxes, owners, num_global: self.num_global }
-            }
-            LevelMetadata::Partitioned { view } => LevelRecords {
-                indices: Some(view.indices()),
-                boxes: view.boxes(),
-                owners: view.owners(),
-                num_global: self.num_global,
-            },
-        }
+    pub fn records(&self) -> &LevelView {
+        &self.records
+    }
+
+    fn expect_complete(&self, what: &str) {
+        assert!(
+            self.records.is_complete(),
+            "PatchLevel::{what}: level {} holds a partial view ({} of {} records); use records()",
+            self.level_no,
+            self.records.len(),
+            self.records.num_global()
+        );
     }
 
     /// All patch boxes on the level, indexed by global patch index.
     ///
     /// # Panics
-    /// Panics on a partitioned level holding only a partial view — use
-    /// [`PatchLevel::records`] there. (A complete partitioned view,
-    /// e.g. at one rank, is served normally.)
+    /// Panics if the level holds only a partial view — use
+    /// [`PatchLevel::records`] there.
     pub fn global_boxes(&self) -> &[GBox] {
-        match &self.metadata {
-            LevelMetadata::Replicated { boxes, .. } => boxes,
-            LevelMetadata::Partitioned { view } => {
-                assert!(
-                    view.is_complete(),
-                    "PatchLevel::global_boxes: level {} holds a partial view ({} of {} \
-                     records); use records()",
-                    self.level_no,
-                    view.len(),
-                    view.num_global()
-                );
-                view.boxes()
-            }
-        }
+        self.expect_complete("global_boxes");
+        self.records.boxes()
     }
 
     /// Owner rank of the global patch `index`.
     ///
     /// # Panics
-    /// Panics if a partitioned view does not hold the record.
+    /// Panics if the view does not hold the record.
     pub fn owner_of(&self, index: usize) -> usize {
-        match &self.metadata {
-            LevelMetadata::Replicated { owners, .. } => owners[index],
-            LevelMetadata::Partitioned { view } => {
-                let pos = view.position_of(index).unwrap_or_else(|| {
-                    panic!(
-                        "PatchLevel::owner_of: global index {index} is outside rank's \
-                         partitioned view of level {}",
-                        self.level_no
-                    )
-                });
-                view.owners()[pos]
-            }
-        }
+        let pos = self.records.position_of(index).unwrap_or_else(|| {
+            panic!(
+                "PatchLevel::owner_of: global index {index} is outside rank's view of level {}",
+                self.level_no
+            )
+        });
+        self.records.owners()[pos]
     }
 
     /// Owner rank of every global patch, indexed like
     /// [`PatchLevel::global_boxes`].
     ///
     /// # Panics
-    /// Panics on a partial partitioned view — use
+    /// Panics if the level holds only a partial view — use
     /// [`PatchLevel::records`] there.
     pub fn owners(&self) -> &[usize] {
-        match &self.metadata {
-            LevelMetadata::Replicated { owners, .. } => owners,
-            LevelMetadata::Partitioned { view } => {
-                assert!(
-                    view.is_complete(),
-                    "PatchLevel::owners: level {} holds a partial view; use records()",
-                    self.level_no
-                );
-                view.owners()
-            }
-        }
+        self.expect_complete("owners");
+        self.records.owners()
     }
 
     /// A 64-bit digest of the level's structure: boxes, owners, ratio,
-    /// level number, and domain. Identical on every rank (it is computed
-    /// from the replicated metadata, or carried as the verified global
-    /// digest of a partitioned view); any change to a box, an owner, or
-    /// the patch ordering changes the digest. Used to key cached
-    /// communication schedules and to verify partitioned exchanges.
+    /// level number, and domain. Identical on every rank, whichever view
+    /// it holds; any change to a box, an owner, or the patch ordering
+    /// changes the digest. Used to key cached communication schedules
+    /// and to verify partitioned exchanges.
     pub fn structure_digest(&self) -> u64 {
-        self.structure_digest
+        self.records.global_digest()
     }
 
     /// Number of patches on the level (globally).
     pub fn num_patches(&self) -> usize {
-        self.num_global
+        self.records.num_global()
     }
 
     /// Total cells on the level (globally).
     pub fn num_cells(&self) -> i64 {
-        self.global_cells
+        self.records.global_cells()
     }
 
     /// The region covered by the level's patches *as held on this
-    /// rank*: every patch for replicated metadata, the owned + interest
-    /// neighborhood for a partitioned view (sufficient for the shadow
+    /// rank*: every patch for a complete view, the owned + interest
+    /// neighborhood for a partitioned one (sufficient for the shadow
     /// and nesting queries made against it, which only ask about the
     /// rank's own neighborhood).
     pub fn covered(&self) -> BoxList {
-        match &self.metadata {
-            LevelMetadata::Replicated { boxes, .. } => BoxList::from_boxes(boxes.iter().copied()),
-            LevelMetadata::Partitioned { view } => {
-                BoxList::from_boxes(view.boxes().iter().copied())
-            }
-        }
+        BoxList::from_boxes(self.records.boxes().iter().copied())
     }
 
     /// Locally owned patches.
@@ -501,6 +285,26 @@ mod tests {
         assert_ne!(base.structure_digest(), permuted.structure_digest());
     }
 
+    /// The level `rank` holds under partitioned metadata: built whole,
+    /// then narrowed to the view its owned boxes retain.
+    fn partitioned_level(
+        boxes: &[GBox],
+        owners: &[usize],
+        domain: BoxList,
+        rank: usize,
+    ) -> PatchLevel {
+        let r = registry();
+        let owned: Vec<GBox> =
+            boxes.iter().zip(owners).filter(|&(_, &o)| o == rank).map(|(&b, _)| b).collect();
+        let margins = InterestMargins { ghost: 2, stencil: 1 };
+        let spec = interest_for_level(&owned, None, None, margins);
+        let view = view_from_global(0, IntVector::ONE, &domain, boxes, owners, rank, &spec);
+        let mut level =
+            PatchLevel::new(0, IntVector::ONE, boxes.to_vec(), owners.to_vec(), domain, rank, &r);
+        level.adopt_view(view, rank);
+        level
+    }
+
     #[test]
     fn partitioned_level_matches_replicated_twin() {
         let r = registry();
@@ -508,11 +312,7 @@ mod tests {
         let owners = vec![0, 1];
         let replicated =
             PatchLevel::new(0, IntVector::ONE, boxes.clone(), owners.clone(), domain(), 0, &r);
-        let owned: Vec<GBox> = vec![boxes[0]];
-        let spec = interest_for_level(&owned, None, None, InterestMargins::default());
-        let view = view_from_global(0, IntVector::ONE, &domain(), &boxes, &owners, 0, &spec);
-        let partitioned = PatchLevel::new_partitioned(0, IntVector::ONE, view, domain(), 0, &r);
-        assert!(partitioned.is_partitioned());
+        let partitioned = partitioned_level(&boxes, &owners, domain(), 0);
         assert_eq!(partitioned.structure_digest(), replicated.structure_digest());
         assert_eq!(partitioned.num_patches(), 2);
         assert_eq!(partitioned.num_cells(), 128);
@@ -520,38 +320,40 @@ mod tests {
         assert_eq!(partitioned.local()[0].id().index, 0);
         // The neighbor is in the view (interest), so owner lookups work.
         assert_eq!(partitioned.owner_of(1), 1);
+        // At one rank the partitioned view is the replicated one.
+        let one_rank = vec![0, 0];
+        let replicated =
+            PatchLevel::new(0, IntVector::ONE, boxes.clone(), one_rank.clone(), domain(), 0, &r);
+        let partitioned = partitioned_level(&boxes, &one_rank, domain(), 0);
+        assert_eq!(partitioned.records(), replicated.records());
+        assert_eq!(partitioned.structure_digest(), replicated.structure_digest());
     }
 
     #[test]
     fn records_are_uniform_across_modes() {
         let r = registry();
-        let boxes = vec![GBox::from_coords(0, 0, 8, 8), GBox::from_coords(8, 8, 16, 16)];
-        let owners = vec![0, 1];
+        let big = BoxList::from_box(GBox::from_coords(0, 0, 64, 64));
+        let boxes = vec![GBox::from_coords(0, 0, 8, 8), GBox::from_coords(56, 56, 64, 64)];
+        let owners = vec![0, 0];
         let replicated =
-            PatchLevel::new(0, IntVector::ONE, boxes.clone(), owners.clone(), domain(), 0, &r);
-        let spec = interest_for_level(&[boxes[0]], None, None, InterestMargins::default());
-        let view = view_from_global(0, IntVector::ONE, &domain(), &boxes, &owners, 0, &spec);
-        let partitioned = PatchLevel::new_partitioned(0, IntVector::ONE, view, domain(), 0, &r);
-        let rep: Vec<_> = replicated.records().iter().collect();
-        let par: Vec<_> = partitioned.records().iter().collect();
-        // The 16x16 domain is small enough that the interest halo keeps
-        // everything: both views see identical records here.
-        assert_eq!(rep, par);
-        assert_eq!(replicated.records().position_of(1), Some(1));
+            PatchLevel::new(0, IntVector::ONE, boxes.clone(), owners.clone(), big.clone(), 0, &r);
+        // The far box lies outside any interest halo; the one-rank view
+        // keeps it anyway because the rank owns it.
+        let partitioned = partitioned_level(&boxes, &owners, big, 0);
+        assert_eq!(partitioned.records(), replicated.records());
+        assert_eq!(partitioned.structure_digest(), replicated.structure_digest());
         assert!(replicated.records().is_complete());
+        assert_eq!(replicated.records().position_of(1), Some(1));
+        assert_eq!(replicated.records().position_of(2), None);
     }
 
     #[test]
     #[should_panic(expected = "holds a partial view")]
     fn partial_view_refuses_global_boxes() {
-        let r = registry();
         let big = BoxList::from_box(GBox::from_coords(0, 0, 64, 64));
         let boxes = vec![GBox::from_coords(0, 0, 8, 8), GBox::from_coords(56, 56, 64, 64)];
-        let owners = vec![0, 1];
-        let spec =
-            interest_for_level(&[boxes[0]], None, None, InterestMargins { ghost: 2, stencil: 1 });
-        let view = view_from_global(0, IntVector::ONE, &big, &boxes, &owners, 0, &spec);
-        let level = PatchLevel::new_partitioned(0, IntVector::ONE, view, big, 0, &r);
+        let level = partitioned_level(&boxes, &[0, 1], big, 0);
+        assert!(!level.records().is_complete());
         let _ = level.global_boxes();
     }
 }

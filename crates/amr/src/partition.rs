@@ -51,7 +51,6 @@
 //!   the destination owner's `want` region bit-for-bit to agree on the
 //!   message payload.
 
-use crate::level::PatchLevel;
 use bytes::Bytes;
 use rbamr_geometry::{BoxList, Fnv64, GBox, IntVector, UnorderedDigest};
 use rbamr_netsim::{Comm, CommError, FaultKind};
@@ -175,7 +174,7 @@ where
 
 /// Bind level number, ratio, and domain around an items digest,
 /// producing the level structure digest
-/// ([`PatchLevel::structure_digest`]). Identical on every rank.
+/// ([`crate::PatchLevel::structure_digest`]). Identical on every rank.
 #[must_use]
 pub fn finalize_structure_digest(
     level_no: usize,
@@ -193,12 +192,14 @@ pub fn finalize_structure_digest(
     f.finish()
 }
 
-/// A rank's durable, partial view of one level's box metadata: the
-/// records it owns plus the ghosted interest neighborhood, sorted by
-/// ascending global index. The ascending order matters: it makes the
-/// relative order of any common subset identical across ranks, which is
-/// what keeps aggregated message streams (packed in plan order) aligned
-/// between sender and receiver without negotiation.
+/// A rank's durable view of one level's box metadata: every record
+/// (the complete view that replicated metadata holds) or the records it
+/// owns plus the ghosted interest neighborhood (partitioned metadata),
+/// sorted by ascending global index. The ascending order matters: it
+/// makes the relative order of any common subset identical across
+/// ranks, which is what keeps aggregated message streams (packed in
+/// plan order) aligned between sender and receiver without
+/// negotiation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LevelView {
     indices: Vec<usize>,
@@ -210,6 +211,29 @@ pub struct LevelView {
 }
 
 impl LevelView {
+    /// The complete view of a level's full `boxes`/`owners` arrays
+    /// (equal lengths) — what replicated metadata holds on every rank.
+    pub(crate) fn complete(
+        level_no: usize,
+        ratio: IntVector,
+        domain: &BoxList,
+        boxes: Vec<GBox>,
+        owners: Vec<usize>,
+    ) -> Self {
+        let indices: Vec<usize> = (0..boxes.len()).collect();
+        let items = structure_items_digest(
+            boxes.iter().zip(&owners).enumerate().map(|(i, (&b, &o))| (i, b, o)),
+        );
+        Self {
+            num_global: boxes.len(),
+            global_cells: boxes.iter().map(|b| b.num_cells()).sum(),
+            global_digest: finalize_structure_digest(level_no, ratio, domain, &items),
+            indices,
+            boxes,
+            owners,
+        }
+    }
+
     /// Number of records held in this view.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -260,17 +284,22 @@ impl LevelView {
         self.global_cells
     }
 
-    /// The verified level structure digest (equal to the replicated
-    /// [`PatchLevel::structure_digest`] of the same structure).
+    /// The verified level structure digest (equal to the complete
+    /// view's digest of the same structure).
     #[must_use]
     pub fn global_digest(&self) -> u64 {
         self.global_digest
     }
 
-    /// Position of a global index within the view, if held.
+    /// Position of a global index within the view, if held: the index
+    /// itself in a complete view, a binary search otherwise.
     #[must_use]
     pub fn position_of(&self, global_index: usize) -> Option<usize> {
-        self.indices.binary_search(&global_index).ok()
+        if self.is_complete() {
+            (global_index < self.len()).then_some(global_index)
+        } else {
+            self.indices.binary_search(&global_index).ok()
+        }
     }
 
     /// Bytes this rank durably spends on the level's metadata.
@@ -656,15 +685,10 @@ pub fn view_from_global(
     spec: &InterestSpec,
 ) -> LevelView {
     assert_eq!(boxes.len(), owners.len(), "view_from_global: boxes/owners mismatch");
-    let all: Vec<BoxRecord> =
-        boxes.iter().zip(owners).enumerate().map(|(i, (&b, &o))| (i, b, o)).collect();
-    let items = structure_items_digest(all.iter().copied());
-    let global_digest = finalize_structure_digest(level_no, ratio, domain, &items);
-    let global_cells = all.iter().map(|(_, b, _)| b.num_cells()).sum();
-    let num_global = all.len();
-    let retained = retain_records(&all, my_rank, spec);
-    let (indices, boxes, owners) = split_records(retained);
-    LevelView { indices, boxes, owners, num_global, global_cells, global_digest }
+    let whole = LevelView::complete(level_no, ratio, domain, boxes.to_vec(), owners.to_vec());
+    let all: Vec<BoxRecord> = whole.iter().collect();
+    let (indices, boxes, owners) = split_records(retain_records(&all, my_rank, spec));
+    LevelView { indices, boxes, owners, ..whole }
 }
 
 fn split_records(records: Vec<BoxRecord>) -> (Vec<usize>, Vec<GBox>, Vec<usize>) {
@@ -677,51 +701,6 @@ fn split_records(records: Vec<BoxRecord>) -> (Vec<usize>, Vec<GBox>, Vec<usize>)
         owners.push(o);
     }
     (indices, boxes, owners)
-}
-
-/// The cheap per-level handshake (one 3-word allreduce): combine every
-/// rank's owned partial digests and check the result matches the
-/// level's stored structure digest. Run after installing or refreshing
-/// a level to confirm all ranks hold views of the same structure.
-///
-/// # Errors
-/// [`MetadataDivergence`] (on every rank) if the combined owned
-/// partials do not reproduce the stored digest on any rank.
-pub fn verify_level_digest(
-    comm: Option<&Comm>,
-    level: &PatchLevel,
-    my_rank: usize,
-) -> Result<(), MetadataDivergence> {
-    let recs = level.records();
-    let partial = structure_items_digest(recs.iter().filter(|&(_, _, owner)| owner == my_rank));
-    let words = match comm {
-        Some(c) => c.allreduce_digest(partial.to_words(), Category::Regrid),
-        None => partial.to_words(),
-    };
-    let combined = UnorderedDigest::from_words(words);
-    let observed =
-        finalize_structure_digest(level.level_no(), level.ratio(), level.domain(), &combined);
-    let expected = level.structure_digest();
-    let locally_ok = observed == expected;
-    let all_ok = match comm {
-        Some(c) => c.allreduce_min(if locally_ok { 1.0 } else { 0.0 }, Category::Regrid) >= 0.5,
-        None => locally_ok,
-    };
-    if all_ok {
-        Ok(())
-    } else {
-        Err(MetadataDivergence {
-            level_no: level.level_no(),
-            expected_digest: expected,
-            observed_digest: observed,
-            rank: my_rank,
-            detail: if locally_ok {
-                "a peer rank's owned partials diverge from the stored digest".into()
-            } else {
-                "combined owned partials diverge from the stored digest".into()
-            },
-        })
-    }
 }
 
 #[cfg(test)]

@@ -63,12 +63,12 @@ pub struct RegridParams {
     pub tag_buffer: i64,
     /// Maximum patch extent on the *new* (fine) level, in fine cells.
     pub max_patch_size: i64,
-    /// How rebuilt levels hold their metadata. `Replicated` (the
-    /// default) installs full box arrays on every rank; `Partitioned`
-    /// installs owned + ghosted [`crate::partition::LevelView`]s,
-    /// re-exchanging adjacent views (digest-verified) around each
-    /// rebuild so the solution transfer and later schedule builds see
-    /// every record they need.
+    /// How rebuilt levels' [`crate::partition::LevelView`]s are
+    /// refreshed. `Replicated` (the default) keeps every level's
+    /// complete view and exchanges nothing; `Partitioned` installs
+    /// owned + ghosted views, re-exchanging adjacent views
+    /// (digest-verified) around each rebuild so the solution transfer
+    /// and later schedule builds see every record they need.
     pub metadata_mode: MetadataMode,
     /// Interest margins for partitioned views. `margins.stencil + 2`
     /// must be at least the widest refine-operator stencil so the
@@ -696,29 +696,9 @@ impl Regridder {
 /// reflects the current — or, via `finer_override`, the planned —
 /// adjacent structure, widened by the `extra_interest` footprints a
 /// solution transfer is about to read under. Owned records travel by
-/// allgatherv and the result is digest-verified before adoption; a
-/// replicated level is converted in place, its local patches and data
-/// untouched.
-///
-/// # Panics
-/// Panics with the typed [`crate::partition::MetadataDivergence`]
-/// message if verification fails — every rank fails together, so no
-/// rank plans against a divergent view.
-pub fn refresh_partitioned_view(
-    hierarchy: &mut PatchHierarchy,
-    level_no: usize,
-    finer_override: Option<(&[GBox], &[usize])>,
-    extra_interest: &[GBox],
-    margins: InterestMargins,
-    comm: Option<&Comm>,
-) {
-    try_refresh_partitioned_view(hierarchy, level_no, finer_override, extra_interest, margins, comm)
-        .unwrap_or_else(|e| panic!("regrid: {e}"))
-}
-
-/// Fault-aware [`refresh_partitioned_view`]: verification and transport
-/// faults surface as a typed [`ExchangeError`] instead of a panic. The
-/// verdict is collective — every rank returns `Err` together.
+/// allgatherv and the result is digest-verified before adoption; the
+/// level's local patches and data are untouched. The verdict is
+/// collective — every rank returns `Err` together.
 ///
 /// # Errors
 /// [`ExchangeError`] when the digest-verified exchange fails.
@@ -799,10 +779,9 @@ pub fn try_partition_hierarchy_metadata(
 }
 
 /// Does `hierarchy.level(target)` already have exactly this planned
-/// structure? Replicated levels compare the full arrays; partitioned
-/// levels (which hold only a partial view) compare the structure digest
-/// the plan finalizes to — the same rank-invariant commitment the
-/// exchange verifies against.
+/// structure? A complete view compares the full arrays; a partial view
+/// compares the structure digest the plan finalizes to — the same
+/// rank-invariant commitment the exchange verifies against.
 fn structure_matches(
     hierarchy: &PatchHierarchy,
     target: usize,
@@ -810,7 +789,9 @@ fn structure_matches(
     owners: &[usize],
 ) -> bool {
     let level = hierarchy.level(target);
-    if level.is_partitioned() {
+    if level.records().is_complete() {
+        level.global_boxes() == boxes && level.owners() == owners
+    } else {
         let items = structure_items_digest(
             boxes.iter().zip(owners).enumerate().map(|(i, (&b, &o))| (i, b, o)),
         );
@@ -821,8 +802,6 @@ fn structure_matches(
             &items,
         );
         digest == level.structure_digest()
-    } else {
-        level.global_boxes() == boxes && level.owners() == owners
     }
 }
 
@@ -1008,14 +987,18 @@ mod tests {
         assert_eq!(h.num_levels(), 1);
     }
 
-    #[test]
-    fn structure_preserving_regrid_keeps_the_level_in_place() {
+    /// Under either metadata mode, regridding onto the same plan keeps
+    /// the level (and its data) in place. At one rank a partitioned view
+    /// is complete, so both modes take the array comparison of
+    /// `structure_matches`.
+    fn keeps_the_level_in_place(mode: MetadataMode) {
         let (mut h, reg, var) = setup();
         let tagger = BoxTagger { region: b(10, 10, 16, 16) };
-        let rg = Regridder::new(RegridParams::default());
+        let rg = Regridder::new(RegridParams { metadata_mode: mode, ..RegridParams::default() });
         let specs = [TransferSpec { var, refine_op: Arc::new(ConservativeCellRefine) }];
         let first = rg.regrid(&mut h, &reg, &tagger, &specs, None, 0.0);
         assert_eq!(first.levels_changed, vec![false, true]);
+        assert!(h.level(1).records().is_complete());
         let boxes_before = h.level(1).global_boxes().to_vec();
         let digest_before = h.structure_digest(1);
         // Scribble on the fine data: an unchanged regrid must not touch it.
@@ -1035,6 +1018,12 @@ mod tests {
         let probe = p.cell_box().lo;
         assert_eq!(p.host::<f64>(var).at(probe), 123.0, "unchanged level lost its data");
         assert_eq!(p.data(var).time(), 1.0, "unchanged level time not restamped");
+    }
+
+    #[test]
+    fn structure_preserving_regrid_keeps_the_level_in_place() {
+        keeps_the_level_in_place(MetadataMode::Replicated);
+        keeps_the_level_in_place(MetadataMode::Partitioned);
     }
 
     #[test]

@@ -639,9 +639,9 @@ impl RefineSchedule {
         let needs_coarse = level_no > 0 && specs.iter().any(|s| s.refine_op.is_some());
         let coarse_recs = (level_no > 0).then(|| hierarchy.level(level_no - 1).records());
         let coarse_index = (indexed && needs_coarse)
-            .then(|| BoxIndex::new(coarse_recs.as_ref().unwrap().boxes(), IntVector::ONE));
+            .then(|| BoxIndex::new(coarse_recs.unwrap().boxes(), IntVector::ONE));
         let all_coarse: Vec<usize> = if !indexed && needs_coarse {
-            (0..coarse_recs.as_ref().unwrap().len()).collect()
+            (0..coarse_recs.unwrap().len()).collect()
         } else {
             Vec::new()
         };
@@ -673,8 +673,8 @@ impl RefineSchedule {
             // regions.
             let overlapping_centring = centring != Centring::Cell;
             for (dst_pos, &dst_box) in boxes.iter().enumerate() {
-                let dst_idx = recs.global_index(dst_pos);
-                let dst_rank = recs.owner_at(dst_pos);
+                let dst_idx = recs.indices()[dst_pos];
+                let dst_rank = recs.owners()[dst_pos];
                 // --- Same-level copies -------------------------------
                 let sources: &[usize] = match &same_index {
                     Some(ix) => {
@@ -688,7 +688,7 @@ impl RefineSchedule {
                 // an uninvolved rank skips the destination wholesale
                 // rather than pair by pair.
                 let involved = dst_rank == rank
-                    || sources.iter().any(|&s| s != dst_pos && recs.owner_at(s) == rank);
+                    || sources.iter().any(|&s| s != dst_pos && recs.owners()[s] == rank);
                 let mut claimed = BoxList::new();
                 for &src_pos in sources {
                     if !involved {
@@ -698,8 +698,8 @@ impl RefineSchedule {
                         continue;
                     }
                     let src_box = boxes[src_pos];
-                    let src_idx = recs.global_index(src_pos);
-                    let src_rank = recs.owner_at(src_pos);
+                    let src_idx = recs.indices()[src_pos];
+                    let src_rank = recs.owners()[src_pos];
                     if !overlapping_centring && dst_rank != rank && src_rank != rank {
                         continue;
                     }
@@ -783,7 +783,7 @@ impl RefineSchedule {
 
                 // Scratch region on the coarse level.
                 let ratio = hierarchy.ratio_to_coarser(level_no);
-                let crecs = coarse_recs.as_ref().unwrap();
+                let crecs = coarse_recs.unwrap();
                 let fine_cover = want
                     .boxes()
                     .iter()
@@ -812,14 +812,14 @@ impl RefineSchedule {
                 // in record order claims; `covered` is the running
                 // union either way.
                 let cf_involved =
-                    dst_rank == rank || coarse_sources.iter().any(|&c| crecs.owner_at(c) == rank);
+                    dst_rank == rank || coarse_sources.iter().any(|&c| crecs.owners()[c] == rank);
                 for &cpos in coarse_sources {
                     if !cf_involved {
                         break;
                     }
-                    let cbox = crecs.box_at(cpos);
-                    let cidx = crecs.global_index(cpos);
-                    let c_rank = crecs.owner_at(cpos);
+                    let cbox = crecs.boxes()[cpos];
+                    let cidx = crecs.indices()[cpos];
+                    let c_rank = crecs.owners()[cpos];
                     if !overlapping_centring && dst_rank != rank && c_rank != rank {
                         continue;
                     }
@@ -935,12 +935,6 @@ impl RefineSchedule {
             out.push(format!("phys v{} {} {:?}", var.0, dst_idx, boxes));
         }
         sorted_digest(out)
-    }
-
-    /// Total values moved by same-level plans (diagnostics/tests).
-    pub fn same_level_values(&self) -> i64 {
-        self.copies.iter().map(|c| c.overlap.num_values()).sum::<i64>()
-            + self.recvs.iter().map(|r| r.overlap.num_values()).sum::<i64>()
     }
 
     /// Number of interpolation jobs (diagnostics/tests).
@@ -1355,8 +1349,8 @@ impl CoarsenSchedule {
             let mut claims: std::collections::HashMap<usize, BoxList> =
                 std::collections::HashMap::new();
             for (fpos, &fbox) in fine.boxes().iter().enumerate() {
-                let fidx = fine.global_index(fpos);
-                let f_rank = fine.owner_at(fpos);
+                let fidx = fine.indices()[fpos];
+                let f_rank = fine.owners()[fpos];
                 let shadow = fbox.coarsen(ratio);
                 let targets: &[usize] = match &coarse_index {
                     Some(ix) => {
@@ -1367,9 +1361,9 @@ impl CoarsenSchedule {
                 };
                 candidate_pairs += targets.len() as u64;
                 for &cpos in targets {
-                    let cbox = coarse.box_at(cpos);
-                    let cidx = coarse.global_index(cpos);
-                    let c_rank = coarse.owner_at(cpos);
+                    let cbox = coarse.boxes()[cpos];
+                    let cidx = coarse.indices()[cpos];
+                    let c_rank = coarse.owners()[cpos];
                     if !overlapping_centring && f_rank != rank && c_rank != rank {
                         continue;
                     }

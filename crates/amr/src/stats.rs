@@ -4,7 +4,6 @@
 
 use crate::balance::imbalance;
 use crate::hierarchy::PatchHierarchy;
-use rbamr_geometry::GBox;
 
 /// Statistics for one level.
 #[derive(Clone, Debug, PartialEq)]
@@ -88,11 +87,10 @@ pub fn hierarchy_stats(h: &PatchHierarchy) -> HierarchyStats {
     let mut levels = Vec::new();
     for l in 0..h.num_levels() {
         let level = h.level(l);
-        let boxes: Vec<GBox> = level.global_boxes().to_vec();
-        let owners: Vec<usize> = (0..boxes.len()).map(|i| level.owner_of(i)).collect();
+        let (boxes, owners) = (level.global_boxes(), level.owners());
         let cells = level.num_cells();
         let (mut min_extent, mut max_extent) = (i64::MAX, 0i64);
-        for b in &boxes {
+        for b in boxes {
             min_extent = min_extent.min(b.size().x).min(b.size().y);
             max_extent = max_extent.max(b.size().x).max(b.size().y);
         }
@@ -107,7 +105,7 @@ pub fn hierarchy_stats(h: &PatchHierarchy) -> HierarchyStats {
             max_extent,
             mean_patch_cells: cells as f64 / boxes.len().max(1) as f64,
             coverage: cells as f64 / h.level_domain(l).num_cells() as f64,
-            imbalance: imbalance(&boxes, &owners, h.nranks()),
+            imbalance: imbalance(boxes, owners, h.nranks()),
         });
     }
     let finest = h.num_levels() - 1;
@@ -124,7 +122,7 @@ mod tests {
     use crate::hostdata::HostDataFactory;
     use crate::variable::VariableRegistry;
     use crate::GridGeometry;
-    use rbamr_geometry::{BoxList, Centring, IntVector};
+    use rbamr_geometry::{BoxList, Centring, GBox, IntVector};
     use std::sync::Arc;
 
     fn hierarchy() -> (PatchHierarchy, VariableRegistry) {

@@ -98,12 +98,6 @@ impl VariableRegistry {
     pub fn make_one(&self, id: VariableId, cell_box: GBox) -> Box<dyn PatchData> {
         self.factory.make(self.get(id), cell_box)
     }
-
-    /// Replace the data factory (e.g. swap host for device placement);
-    /// existing patches are unaffected.
-    pub fn set_factory(&mut self, factory: Arc<dyn DataFactory>) {
-        self.factory = factory;
-    }
 }
 
 #[cfg(test)]

@@ -220,9 +220,8 @@ fn partitioned_mode(smoke: bool, json_path: Option<std::path::PathBuf>) {
                 let partitioned_ns = median_ns(reps, || {
                     ScheduleBuild::indexed().refine(&h_part, &reg, 1, &specs);
                 });
-                let part_bytes: usize = (0..2)
-                    .map(|l| h_part.level(l).view().expect("partitioned view").metadata_bytes())
-                    .sum();
+                let part_bytes: usize =
+                    (0..2).map(|l| h_part.level(l).records().metadata_bytes()).sum();
                 let global_records: usize =
                     (0..2).map(|l| h_rep.level(l).global_boxes().len()).sum();
                 (part_bytes, global_records, indexed_ns, partitioned_ns)

@@ -120,20 +120,6 @@ pub fn measure_profile(
     StepProfile { per_step, regrid, total_cells: sim.hierarchy().total_cells() }
 }
 
-/// As [`measure_profile`], also returning the telemetry snapshot of the
-/// simulation's recorder (counters, gauges, and the span-derived time
-/// breakdown). The snapshot is empty unless a recorder was attached via
-/// [`HydroSim::set_recorder`] before stepping.
-pub fn measure_profile_traced(
-    sim: &mut HydroSim,
-    comm: Option<&Comm>,
-    measure_steps: usize,
-) -> (StepProfile, rbamr_telemetry::MetricsSnapshot) {
-    let profile = measure_profile(sim, comm, measure_steps);
-    let snapshot = rbamr_telemetry::MetricsSnapshot::from_recorder(sim.recorder());
-    (profile, snapshot)
-}
-
 /// `(after - before) * scale`, per category.
 pub fn diff_scaled(before: &TimeBreakdown, after: &TimeBreakdown, scale: f64) -> TimeBreakdown {
     let clock = Clock::new();

@@ -25,7 +25,7 @@ pub mod launch;
 pub mod memory;
 pub mod stream;
 
-pub use launch::{Kernel, LaunchConfig};
+pub use launch::Kernel;
 pub use memory::{DeviceBuffer, DeviceError};
 pub use stream::{Event, RecordPoint, Stream, StreamError};
 

@@ -181,11 +181,6 @@ impl Event {
         });
     }
 
-    /// True once the event has been recorded.
-    pub fn is_recorded(&self) -> bool {
-        self.recorded_at.lock().is_some()
-    }
-
     /// The record point, if recorded.
     pub fn record_point(&self) -> Option<RecordPoint> {
         *self.recorded_at.lock()

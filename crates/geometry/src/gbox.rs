@@ -35,11 +35,6 @@ impl GBox {
     /// The canonical empty box.
     pub const EMPTY: Self = Self::new(IntVector::ZERO, IntVector::ZERO);
 
-    /// A box with lower corner at the origin and the given size.
-    pub fn at_origin(size: IntVector) -> Self {
-        Self::new(IntVector::ZERO, size)
-    }
-
     /// True if the box contains no cells (any `hi <= lo` component).
     pub fn is_empty(self) -> bool {
         self.hi.x <= self.lo.x || self.hi.y <= self.lo.y

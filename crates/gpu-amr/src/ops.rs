@@ -68,7 +68,6 @@ fn launch_refine(
     coarse_stream.synchronize();
     let total: i64 = fine_boxes.num_cells();
     let shape = KernelShape::streaming(total, arrays_touched, flops_per_elem);
-    let _cfg = rbamr_device::LaunchConfig::for_elements(total.max(0) as usize);
     dst.stream().submit();
     let fine_stream = dst.stream().clone();
     let dst_w = dst_dbox.size().x as usize;

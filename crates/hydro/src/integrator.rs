@@ -75,10 +75,11 @@ pub struct HydroConfig {
     /// baseline the benchmarks compare against).
     pub schedule_caching: bool,
     /// How level metadata is held across ranks. `Replicated` (the
-    /// default) keeps every level's full box array on every rank;
-    /// `Partitioned` holds owned + ghosted views, converted in place at
-    /// [`HydroSim::initialize`] and maintained (digest-verified) across
-    /// regrids. Field output is bitwise identical between the modes.
+    /// default) keeps every level's complete view on every rank;
+    /// `Partitioned` narrows each view to owned + ghosted records at
+    /// [`HydroSim::initialize`] and re-exchanges them (digest-verified)
+    /// across regrids. Field output is bitwise identical between the
+    /// modes.
     pub metadata_mode: MetadataMode,
     /// Batched per-level kernel launches with comm/compute overlap: one
     /// launch per kernel per level (indexed through the level's cached
@@ -581,8 +582,8 @@ impl HydroSim {
         comm: Option<&Comm>,
     ) -> Result<(), RestoreError> {
         if self.config.metadata_mode == MetadataMode::Partitioned {
-            // Restore rebuilds levels replicated; convert back before
-            // schedules are rebuilt.
+            // Restore rebuilds levels with complete views; narrow them
+            // again before schedules are rebuilt.
             try_partition_hierarchy_metadata(&mut self.hierarchy, self.config.regrid.margins, comm)
                 .map_err(|e| RestoreError::Exchange { detail: e.to_string() })?;
         }
@@ -793,13 +794,6 @@ impl HydroSim {
     /// plan-identical to fresh builds (e.g. across a restart).
     pub fn start_fill_digests(&self) -> Vec<Vec<String>> {
         self.fill_schedules.iter().map(|s| s.get(Fill::Start, 0).plan_digest()).collect()
-    }
-
-    /// Switch how level metadata is held ([`MetadataMode`]). Must be
-    /// called before [`HydroSim::initialize`]: initialisation performs
-    /// the replicated → partitioned conversion exchange.
-    pub fn set_metadata_mode(&mut self, mode: MetadataMode) {
-        self.config.metadata_mode = mode;
     }
 
     /// Order-independent digest over every local patch's packed field

@@ -8,7 +8,7 @@
 //! legacy-VTK structured-points files, one per patch, plus a `.visit`
 //! index — the format VisIt consumes for multi-block AMR data.
 
-use crate::integrator::{HydroSim, Placement};
+use crate::integrator::HydroSim;
 use crate::state::Fields;
 use rbamr_amr::patchdata::PatchData;
 use rbamr_amr::{HostData, Patch, VariableId};
@@ -157,11 +157,6 @@ impl HydroSim {
         } else {
             Ok(local)
         }
-    }
-
-    /// The placement (host/device) — exposed for output tooling.
-    pub fn is_device(&self) -> bool {
-        self.placement() == Placement::Device
     }
 }
 

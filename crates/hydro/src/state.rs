@@ -91,12 +91,6 @@ impl Fields {
         }
     }
 
-    /// The state fields that carry the solution between steps (filled,
-    /// synchronised and transferred at regrid).
-    pub fn state_fields(&self) -> [VariableId; 6] {
-        [self.density0, self.energy0, self.xvel0, self.yvel0, self.pressure, self.viscosity]
-    }
-
     /// The full arrays the copy-back placement round-trips over PCIe
     /// before kernel group `k` runs. The per-patch and the batched
     /// copy-back paths both stage exactly these lists.

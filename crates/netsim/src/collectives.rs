@@ -14,8 +14,7 @@
 //!   O(N·log N) frames job-wide); rooted gather/broadcast run a
 //!   binomial tree (N−1 frames, log-depth critical path).
 //!
-//! Selected per [`crate::Cluster`] via the `RBAMR_NETSIM_COLLECTIVES`
-//! env knob (`flat` / `rd`) or
+//! Selected per [`crate::Cluster`] with
 //! [`crate::Cluster::with_collectives`].
 //!
 //! Frame complexity per allgatherv at N ranks:
@@ -53,17 +52,6 @@ pub enum CollectiveAlgo {
     /// binomial tree for rooted gather/broadcast.
     #[default]
     RecursiveDoubling,
-}
-
-impl CollectiveAlgo {
-    /// Parse an `RBAMR_NETSIM_COLLECTIVES` value.
-    pub(crate) fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
-            "flat" => Some(Self::Flat),
-            "rd" | "recursive-doubling" | "log" | "log-depth" => Some(Self::RecursiveDoubling),
-            _ => None,
-        }
-    }
 }
 
 /// A reduction over 3-word states. The combine must be commutative, so

@@ -121,12 +121,6 @@ impl NetworkModel {
     pub fn gemini() -> Self {
         Self { name: "Cray Gemini".into(), latency: 2.5e-6, bandwidth: 4.5e9 }
     }
-
-    /// Intra-node "network" for single-node multi-GPU runs: messages go
-    /// through shared memory.
-    pub fn shared_memory() -> Self {
-        Self { name: "shared memory".into(), latency: 0.4e-6, bandwidth: 12.0e9 }
-    }
 }
 
 /// A full machine description — one row of Table I.

@@ -93,6 +93,14 @@ impl Args {
                 other => return Err(format!("unknown flag {other}")),
             }
         }
+        if args.cells < 1 {
+            return Err(format!("--cells must be at least 1, got {}", args.cells));
+        }
+        for (flag, v) in [("--levels", args.levels), ("--ranks", args.ranks)] {
+            if v == 0 {
+                return Err(format!("{flag} must be at least 1, got 0"));
+            }
+        }
         Ok(args)
     }
 

@@ -27,7 +27,7 @@ fn sod(
     placement: Placement,
     n: i64,
     levels: usize,
-    max_patch: i64,
+    cfg: HydroConfig,
     rank: usize,
     nranks: usize,
     clock: Clock,
@@ -44,7 +44,7 @@ fn sod(
         (n, n),
         levels,
         2,
-        config(max_patch),
+        cfg,
         sod_regions(),
         rank,
         nranks,
@@ -58,7 +58,7 @@ fn run_distributed(placement: Placement, nranks: usize, n: i64, steps: usize) ->
             placement,
             n,
             2,
-            16, // small patches so every rank owns several
+            config(16), // small patches so every rank owns several
             comm.rank(),
             comm.size(),
             comm.clock().clone(),
@@ -81,7 +81,7 @@ fn run_distributed(placement: Placement, nranks: usize, n: i64, steps: usize) ->
 fn distributed_run_matches_serial() {
     let steps = 8;
     let serial = {
-        let mut sim = sod(Placement::Host, 48, 2, 16, 0, 1, Clock::new());
+        let mut sim = sod(Placement::Host, 48, 2, config(16), 0, 1, Clock::new());
         sim.initialize(None);
         for _ in 0..steps {
             sim.step(None);
@@ -123,8 +123,15 @@ fn device_distributed_matches_host_distributed() {
 fn distributed_device_build_is_resident() {
     let cluster = Cluster::new(Machine::ipa_gpu());
     let results = cluster.run(2, |comm| {
-        let mut sim =
-            sod(Placement::Device, 32, 1, 16, comm.rank(), comm.size(), comm.clock().clone());
+        let mut sim = sod(
+            Placement::Device,
+            32,
+            1,
+            config(16),
+            comm.rank(),
+            comm.size(),
+            comm.clock().clone(),
+        );
         sim.initialize(Some(&comm));
         sim.step(Some(&comm)); // warm-up (no regrid at interval 4)
         let device = sim.device().unwrap().clone();
@@ -148,7 +155,7 @@ fn distributed_device_build_is_resident() {
 fn sod_converges_to_exact_riemann() {
     let mut errors = Vec::new();
     for n in [32i64, 64] {
-        let mut sim = sod(Placement::Host, n, 2, 1 << 20, 0, 1, Clock::new());
+        let mut sim = sod(Placement::Host, n, 2, config(1 << 20), 0, 1, Clock::new());
         sim.initialize(None);
         sim.run_to_time(0.12, None);
         let profile = sim.density_profile();
@@ -162,7 +169,7 @@ fn sod_converges_to_exact_riemann() {
 fn amr_matches_its_own_fine_features() {
     // The refined region must track the shock: compare the fine level's
     // coverage centre against the analytic shock position.
-    let mut sim = sod(Placement::Host, 64, 2, 1 << 20, 0, 1, Clock::new());
+    let mut sim = sod(Placement::Host, 64, 2, config(1 << 20), 0, 1, Clock::new());
     sim.initialize(None);
     sim.run_to_time(0.1, None);
     let exact = rbamr::problems::sod::sod_exact();
@@ -180,7 +187,7 @@ fn amr_matches_its_own_fine_features() {
 
 #[test]
 fn long_run_with_regridding_conserves_mass() {
-    let mut sim = sod(Placement::Host, 48, 3, 1 << 20, 0, 1, Clock::new());
+    let mut sim = sod(Placement::Host, 48, 3, config(1 << 20), 0, 1, Clock::new());
     sim.initialize(None);
     let m0 = sim.summary(None).mass;
     for _ in 0..30 {
@@ -197,7 +204,7 @@ fn long_run_with_regridding_conserves_mass() {
 
 #[test]
 fn virtual_time_accumulates_in_every_category() {
-    let mut sim = sod(Placement::Device, 48, 2, 16, 0, 1, Clock::new());
+    let mut sim = sod(Placement::Device, 48, 2, config(16), 0, 1, Clock::new());
     sim.initialize(None);
     for _ in 0..4 {
         sim.step(None);
@@ -265,9 +272,9 @@ fn partitioned_metadata_matches_replicated_bitwise() {
     let run = |nranks: usize, mode: MetadataMode| {
         let cluster = Cluster::new(Machine::ipa_cpu_node());
         cluster.run(nranks, move |comm| {
+            let cfg = HydroConfig { metadata_mode: mode, ..config(16) };
             let mut sim =
-                sod(Placement::Host, 48, 2, 16, comm.rank(), comm.size(), comm.clock().clone());
-            sim.set_metadata_mode(mode);
+                sod(Placement::Host, 48, 2, cfg, comm.rank(), comm.size(), comm.clock().clone());
             sim.initialize(Some(&comm));
             for _ in 0..8 {
                 sim.step(Some(&comm)); // regrid_interval 4: live regrids
@@ -306,8 +313,15 @@ fn traced_sod_run() -> Vec<rbamr::telemetry::Recorder> {
     let results = cluster.run(2, |mut comm| {
         let rec = Recorder::new(comm.rank(), comm.clock().clone());
         comm.set_recorder(rec.clone());
-        let mut sim =
-            sod(Placement::Device, 48, 2, 16, comm.rank(), comm.size(), comm.clock().clone());
+        let mut sim = sod(
+            Placement::Device,
+            48,
+            2,
+            config(16),
+            comm.rank(),
+            comm.size(),
+            comm.clock().clone(),
+        );
         sim.set_recorder(rec.clone());
         sim.initialize(Some(&comm));
         for _ in 0..6 {
@@ -375,14 +389,14 @@ fn regridding_is_rank_count_invariant() {
     // distributed regrid — gathering tags through the collective path —
     // must match the serial result exactly.
     let serial_boxes: Vec<_> = {
-        let mut sim = sod(Placement::Host, 48, 2, 16, 0, 1, Clock::new());
+        let mut sim = sod(Placement::Host, 48, 2, config(16), 0, 1, Clock::new());
         sim.initialize(None);
         sim.hierarchy().level(1).global_boxes().to_vec()
     };
     let cluster = Cluster::new(Machine::ipa_cpu_node());
     let results = cluster.run(4, |comm| {
         let mut sim =
-            sod(Placement::Host, 48, 2, 16, comm.rank(), comm.size(), comm.clock().clone());
+            sod(Placement::Host, 48, 2, config(16), comm.rank(), comm.size(), comm.clock().clone());
         sim.initialize(Some(&comm));
         sim.hierarchy().level(1).global_boxes().to_vec()
     });
